@@ -390,10 +390,7 @@ class RadialField(ConvexBody3):
     @staticmethod
     def from_function(rho, n_alpha=128, n_beta=256, provenance="radial"):
         """Sample rho(units array) -> radii on the uniform grid."""
-        al = np.linspace(0.0, math.pi, n_alpha + 1)
-        be = np.arange(n_beta) * (2.0 * math.pi / n_beta)
-        units = sphere_point(al[:, None], be[None, :])
-        return RadialField(rho(units), provenance=provenance)
+        return RadialField(rho(_table_units(n_alpha, n_beta)), provenance=provenance)
 
     def _interp(self, alpha, beta):
         na, nb = self.n_alpha, self.n_beta
@@ -436,9 +433,7 @@ class RadialField(ConvexBody3):
         # maximize x.y over y in the polar: y = u / h_K(u)
         flat = x.reshape(-1, 3)
         na, nb = self.n_alpha, self.n_beta
-        al = np.linspace(0.0, math.pi, na + 1)
-        be = np.arange(nb) * (2.0 * math.pi / nb)
-        units = sphere_point(al[:, None], be[None, :]).reshape(-1, 3)
+        units = _table_units(na, nb).reshape(-1, 3)
         h = self.support_many(units)
         ppts = units / h[:, None]
         dots = flat @ ppts.T

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, DegenerateBody, NotNormalized, NotSymmetric
-from .planar import clip_halfplane, clip_quadrant, dual_vertex2, hull2, shoelace
+from .planar import bisect, clip_halfplane, clip_quadrant, dual_vertex2, shoelace
 
 __all__ = [
     "Polygon2",
@@ -111,19 +111,15 @@ def normalize2(P: Polygon2):
     of P' after diagonal scaling.
     """
     g0 = _quadrant_gap(P)
-    lo, hi = 0.0, 0.5 * math.pi
     if abs(g0) <= 1e-15 * P.area():
         t = 0.0
     else:
-        glo = g0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm = _quadrant_gap(P.transformed(_rot2(mid)))
-            if (gm < 0) == (glo < 0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        t = 0.5 * (lo + hi)
+        t = bisect(
+            lambda a: (_quadrant_gap(P.transformed(_rot2(a))) < 0) == (g0 < 0),
+            0.0,
+            0.5 * math.pi,
+            80,
+        )
     R = _rot2(t)
     Q = P.transformed(R)
     rx = 1.0 / Q.gauge((1.0, 0.0))

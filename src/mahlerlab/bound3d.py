@@ -13,6 +13,7 @@ from .body import ConvexBody3, SymmetricPolytope, polar
 from .errors import MembershipViolated, SingularFace
 from .normalize import condition_residuals
 from .quadrature import (
+    GL64,
     SphereGrid,
     octant_volumes,
     plane_measures,
@@ -293,16 +294,15 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512) -> ChainR
 
 
 _GL8 = np.polynomial.legendre.leggauss(8)
-_GL64 = np.polynomial.legendre.leggauss(64)
 
 
 def _gauge_line_integral(K: ConvexBody3, P, Q, panels: int = 64) -> float:
     """int_0^1 gauge((1-t)P + tQ)^(-2) dt, composite Gauss-Legendre."""
     x, w = _GL8
     edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
+    centre = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 / panels
-    t = (mid[:, None] + half * x[None, :]).ravel()
+    t = (centre[:, None] + half * x[None, :]).ravel()
     pts = np.outer(1.0 - t, P) + np.outer(t, Q)
     g = K.gauge_many(pts)
     wt = np.tile(w * half, panels)
@@ -317,11 +317,11 @@ def curve_vector_between(K: ConvexBody3, P, Q, panels: int = 64) -> np.ndarray:
     return np.cross(P, Q) * _gauge_line_integral(K, P, Q, panels)
 
 
-def cone_volume(K: ConvexBody3, A1, A2, A3, n: int = 64) -> float:
+def cone_volume(K: ConvexBody3, A1, A2, A3) -> float:
     """Volume of the radial cone over the boundary patch spanned by the
     directions of A1, A2, A3 (collapsed-square quadrature on the flat
     triangle; the radial factor reduces to gauge^(-3))."""
-    x, w = _GL64
+    x, w = GL64
     xi = 0.5 * (x + 1.0)
     wi = 0.5 * w
     a = xi[:, None]

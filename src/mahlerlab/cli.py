@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +24,7 @@ from .bound2d import Polygon2, normalize2
 from .bound2d import polar2 as polar2d
 from .bound2d import verify2 as verify2d
 from .bound3d import LOWER_BOUND, verify_chain
-from .errors import (
-    InvalidBody,
-    IoError,
-    MahlerLabError,
-    ParseError,
-    UnknownCommand,
-)
+from .errors import InvalidBody, IoError, MahlerLabError, ParseError
 from .normalize import BoxPoint, fgh, find_normalization, winding
 from .quadrature import make_grid, volume
 
@@ -100,16 +91,6 @@ def describe_body(K):
 # reports
 
 
-@dataclass
-class RunReport:
-    command: list
-    input_digest: str
-    grid: tuple
-    outputs: dict
-    wall_time: float
-    version: str = __version__
-
-
 def _jsonable(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
@@ -142,14 +123,6 @@ def emit_report(report, format: str, path: str) -> None:
             fh.write(text)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from None
-
-
-def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return ""
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +281,8 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     ap.add_argument("--grid", default="128x256", help="sphere grid, NxM")
     ap.add_argument("--curve", type=int, default=512, help="curve samples")
     ap.add_argument("--out", default=None, help="report output path")
-    ap.add_argument("--seed", type=int, default=0, help="random seed")
-    ap.add_argument("--threads", type=int, default=None, help="thread cap")
     ap.add_argument("--n", type=int, default=9, help="sweep grid side")
     return ap
-
-
-def _apply_thread_cap(threads):
-    if threads is None:
-        env = os.environ.get("MAHLER_LAB_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 def run(argv) -> int:
@@ -338,22 +300,13 @@ def run(argv) -> int:
         return EXIT_OK if e.code == 0 else EXIT_PARSE
     t0 = time.perf_counter()
     try:
-        _apply_thread_cap(args.threads)
         na, nb = _parse_grid(args.grid)
         grid = make_grid(na, nb)
-        np.random.seed(args.seed)
         body = parse_body_file(args.body)
         out, fmt, code = _DISPATCH[command](body, grid, args)
         if args.out is not None:
             emit_report(out, fmt, args.out)
-        report = RunReport(
-            command=list(argv),
-            input_digest=_digest(args.body),
-            grid=(na, nb),
-            outputs={} if args.out else _jsonable(out),
-            wall_time=time.perf_counter() - t0,
-        )
-        print(f"done in {report.wall_time:.3f}s (version {report.version})")
+        print(f"done in {time.perf_counter() - t0:.3f}s (version {__version__})")
         return code
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
@@ -364,9 +317,6 @@ def run(argv) -> int:
     except IoError as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
-    except UnknownCommand as e:
-        print(f"unknown command: {e}", file=sys.stderr)
-        return EXIT_UNKNOWN
     except MahlerLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -29,10 +29,6 @@ class NotOnBoundary(MahlerLabError):
     """Query point is not on the boundary within tolerance."""
 
 
-class NonSmoothAtPoint(MahlerLabError):
-    """Boundary map queried at a non-smooth point with tie-breaking disabled."""
-
-
 class BadGridSize(MahlerLabError):
     """Requested sphere grid size is outside the supported range."""
 
@@ -79,10 +75,6 @@ class ParseError(MahlerLabError):
 
 class InvalidBody(MahlerLabError):
     """Body file parses but violates a body invariant."""
-
-
-class UnknownCommand(MahlerLabError):
-    """CLI invoked with an unknown subcommand."""
 
 
 class IoError(MahlerLabError):

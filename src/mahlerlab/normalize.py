@@ -26,6 +26,7 @@ from . import planar
 from .body import ConvexBody3, LinearMap3, SymmetricPolytope, sphere_point
 from .errors import BadParameter, NoConvergence, NotGeneric, NoZeroFound
 from .quadrature import (
+    GL64,
     SphereGrid,
     octant_volumes,
     quarter_areas,
@@ -73,11 +74,11 @@ class WindingTrace:
 # spectral half-balance solver
 
 
-def _periodic_cumulative(vals: np.ndarray, period: float):
-    """Antiderivative C(t) = int_0^t g for g sampled uniformly over a period."""
+def _periodic_cumulative(vals: np.ndarray):
+    """Antiderivative C(t) = int_0^t g for g sampled uniformly over [0, pi)."""
     n = len(vals)
     c = np.fft.rfft(vals) / n
-    w = 2.0 * PI / period
+    w = 2.0  # angular frequency of the period pi
     k = np.arange(1, len(c))
     fac = np.full(len(c) - 1, 2.0)
     if n % 2 == 0:
@@ -92,18 +93,11 @@ def _periodic_cumulative(vals: np.ndarray, period: float):
     return C
 
 
-def _half_balance(vals: np.ndarray, period: float = PI) -> float:
-    """Solve C(x) = C(period)/2 for the monotone antiderivative by bisection."""
-    C = _periodic_cumulative(vals, period)
-    target = C(period)[0] / 2.0
-    lo, hi = 0.0, period
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if C(mid)[0] < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _half_balance(vals: np.ndarray) -> float:
+    """Solve C(x) = C(pi)/2 for the monotone antiderivative by bisection."""
+    C = _periodic_cumulative(vals)
+    target = C(PI)[0] / 2.0
+    return planar.bisect(lambda t: C(t)[0] < target, 0.0, PI, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +107,9 @@ def _half_balance(vals: np.ndarray, period: float = PI) -> float:
 def _theta_polytope(K: SymmetricPolytope) -> float:
     """Exact theta balance for polytopes via halfspace wedge volumes."""
     upper = wedge_volume(K, 0.0, PI)
-    lo, hi = 1e-5, PI - 1e-5
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if wedge_volume(K, 0.0, mid) < 0.5 * upper:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return planar.bisect(
+        lambda b: wedge_volume(K, 0.0, b) < 0.5 * upper, 1e-5, PI - 1e-5, 60
+    )
 
 
 def _sector_polytope(K: SymmetricPolytope, beta: float) -> float:
@@ -137,14 +126,7 @@ def _sector_polytope(K: SymmetricPolytope, beta: float) -> float:
         cut = planar.clip_halfplane(upper, (-math.sin(phi), math.cos(phi)), 0.0)
         return planar.shoelace(cut)
 
-    lo, hi = 1e-5, PI - 1e-5
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if sector(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return planar.bisect(lambda phi: sector(phi) < target, 1e-5, PI - 1e-5, 60)
 
 
 def _theta_only(K: ConvexBody3, grid: SphereGrid) -> float:
@@ -198,7 +180,7 @@ def balance_residuals(K: ConvexBody3, ang: BalanceAngles, n: int = 200):
         return out
 
     def i_theta():
-        xx, ww = np.polynomial.legendre.leggauss(64)
+        xx, ww = GL64
 
         def half(a, b):
             t = 0.5 * (b - a) * xx + 0.5 * (a + b)
@@ -297,14 +279,10 @@ def t_map(K: ConvexBody3, s: float, psi: float, grid: SphereGrid) -> float:
     th0 = _theta_cap0(K, 0.0, psi, grid)
     height = PI - th0
     target = PI - th0 * s
-    lo, hi = 0.0, height
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if gamma_map(K, psi, mid, grid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) / height
+    theta = planar.bisect(
+        lambda t: gamma_map(K, psi, t, grid) < target, 0.0, height, 48
+    )
+    return theta / height
 
 
 # ---------------------------------------------------------------------------

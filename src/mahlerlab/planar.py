@@ -1,4 +1,5 @@
-"""Small exact 2D kernel: shoelace areas, halfplane clipping, hull duality."""
+"""Small exact 2D kernel: shoelace areas, halfplane clipping, hull duality,
+and the bisection shared by every monotone balance equation."""
 
 from __future__ import annotations
 
@@ -6,6 +7,22 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import CollinearPoints
+
+
+def bisect(pred, lo: float, hi: float, steps: int) -> float:
+    """Final midpoint of `steps` halvings of [lo, hi].
+
+    Each step moves lo to the midpoint where pred(mid) holds and hi
+    otherwise, so a pred that is true below a switch point and false above
+    brackets that point to a width of (hi - lo) / 2**steps.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def shoelace(poly: np.ndarray) -> float:

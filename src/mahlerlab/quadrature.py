@@ -37,7 +37,6 @@ OCTANT_SIGNS = (
     (-1, -1, -1),
     (1, -1, -1),
 )
-_SIGN_TO_OCTANT = {s: i for i, s in enumerate(OCTANT_SIGNS)}
 
 
 @dataclass(frozen=True)
@@ -77,28 +76,19 @@ def make_grid(n_alpha: int, n_beta: int) -> SphereGrid:
     w_beta = np.tile(wb * quarter / 2.0, 4)
     units = sphere_point(alpha[:, None], beta[None, :]).reshape(-1, 3)
     weights = (w_alpha[:, None] * w_beta[None, :]).reshape(-1)
-    signs = np.where(units > 0, 1, -1)
-    octant = np.fromiter(
-        (_SIGN_TO_OCTANT[tuple(s)] for s in signs), dtype=int, count=len(signs)
-    )
+    octant, _ = _classify_octants(units)
     return SphereGrid(
         n_alpha, n_beta, alpha, w_alpha, beta, w_beta, units, weights, octant
     )
-
-
-def _is_polytope(K) -> bool:
-    return isinstance(K, SymmetricPolytope)
 
 
 # ---------------------------------------------------------------------------
 # volumes
 
 
-def volume(K: ConvexBody3, grid: SphereGrid, method: str = "auto") -> float:
+def volume(K: ConvexBody3, grid: SphereGrid) -> float:
     """|K|; exact hull volume for polytopes, (1/3) sum w rho^3 otherwise."""
-    if method == "auto":
-        method = "exact" if _is_polytope(K) else "quadrature"
-    if method == "exact":
+    if isinstance(K, SymmetricPolytope):
         return float(ConvexHull(K.vertices).volume)
     rho = K.radial_many(grid.units)
     return float(np.sum(grid.weights * rho**3) / 3.0)
@@ -115,11 +105,9 @@ def _octant_halfspace_volume(K: SymmetricPolytope, signs) -> float:
     return float(ConvexHull(hs.intersections).volume)
 
 
-def octant_volumes(K: ConvexBody3, grid: SphereGrid, method: str = "auto"):
+def octant_volumes(K: ConvexBody3, grid: SphereGrid):
     """|Delta_i| for the eight octants, in the fixed sign-pattern order."""
-    if method == "auto":
-        method = "exact" if _is_polytope(K) else "quadrature"
-    if method == "exact":
+    if isinstance(K, SymmetricPolytope):
         return np.array([_octant_halfspace_volume(K, s) for s in OCTANT_SIGNS])
     rho3 = K.radial_many(grid.units) ** 3 * grid.weights
     return np.array(
@@ -160,12 +148,10 @@ def _classify_octants(x: np.ndarray):
     return idx, float(np.mean(near)) if len(x) else 0.0
 
 
-def polar_piece_volumes(K: ConvexBody3, grid: SphereGrid, method: str = "auto"):
+def polar_piece_volumes(K: ConvexBody3, grid: SphereGrid):
     """|K°_i|: pieces of the polar classified by where Lambda maps back on ∂K."""
-    if method == "auto":
-        method = "exact" if _is_polytope(K) else "quadrature"
     Kp = polar(K)
-    if method == "exact":
+    if isinstance(K, SymmetricPolytope):
         hull = ConvexHull(Kp.vertices)
         eq = hull.equations
         duals = eq[:, :3] / (-eq[:, 3][:, None])  # vertices of K, one per simplex
@@ -241,11 +227,9 @@ def _projection_area_quad(K: ConvexBody3, plane: int) -> float:
     return 0.5 * float(np.sum(h**2 - dh**2)) * (TWO_PI / _N_CIRCLE)
 
 
-def plane_measures(K: ConvexBody3, grid: SphereGrid, method: str = "auto"):
+def plane_measures(K: ConvexBody3, grid: SphereGrid):
     """(Q, Pproj): central section areas and orthogonal shadow areas."""
-    if method == "auto":
-        method = "exact" if _is_polytope(K) else "quadrature"
-    if method == "exact":
+    if isinstance(K, SymmetricPolytope):
         Q = np.array(
             [abs(planar.shoelace(section_polygon(K, p))) for p in (1, 2, 3)]
         )
@@ -268,29 +252,28 @@ _QUARTERS = (
     (3, -1, 1),  # O*i : z=0, x<=0, y>=0
 )
 
-_GL64 = np.polynomial.legendre.leggauss(64)
+# the package's one 64-point Gauss-Legendre rule on [-1, 1]
+GL64 = np.polynomial.legendre.leggauss(64)
 
 
 def _arc_area(K: ConvexBody3, plane: int, t0: float, t1: float) -> float:
-    x, w = _GL64
+    x, w = GL64
     t = 0.5 * (t1 - t0) * x + 0.5 * (t0 + t1)
     rho = K.radial_many(circle_dirs(plane, t))
     return 0.25 * (t1 - t0) * float(np.sum(w * rho**2))
 
 
-def quarter_areas(K: ConvexBody3, method: str = "auto") -> np.ndarray:
+def quarter_areas(K: ConvexBody3) -> np.ndarray:
     """(|O*d|, |O*e|, |O*f|, |O*g|, |O*h|, |O*i|)."""
-    if method == "auto":
-        method = "exact" if _is_polytope(K) else "quadrature"
-    out = np.empty(6)
-    for n, (plane, s0, s1) in enumerate(_QUARTERS):
-        if method == "exact":
-            poly = section_polygon(K, plane)
-            out[n] = abs(planar.shoelace(planar.clip_quadrant(poly, s0, s1)))
-        else:
-            t0, t1 = (0.0, 0.5 * math.pi) if s0 > 0 else (0.5 * math.pi, math.pi)
-            out[n] = _arc_area(K, plane, t0, t1)
-    return out
+    if isinstance(K, SymmetricPolytope):
+        return np.array(
+            [
+                abs(planar.shoelace(planar.clip_quadrant(section_polygon(K, p), s0, s1)))
+                for p, s0, s1 in _QUARTERS
+            ]
+        )
+    arcs = {1: (0.0, 0.5 * math.pi), -1: (0.5 * math.pi, math.pi)}
+    return np.array([_arc_area(K, p, *arcs[s0]) for p, s0, _ in _QUARTERS])
 
 
 # ---------------------------------------------------------------------------

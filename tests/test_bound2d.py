@@ -14,7 +14,7 @@ from mahlerlab.bound2d import (
     polar2,
     verify2,
 )
-from mahlerlab.planar import clip_quadrant, hull2, shoelace
+from mahlerlab.planar import bisect, clip_quadrant, hull2, shoelace
 
 
 def square2():
@@ -94,6 +94,29 @@ class TestPolar2:
         P = random_polygon(np.random.default_rng(seed), pairs)
         PP = polar2(polar2(P))
         assert np.allclose(PP.vertices, P.vertices, atol=1e-10 * np.abs(P.vertices).max())
+
+
+class TestBisect:
+    @pytest.mark.parametrize("steps", [1, 10, 52])
+    def test_bracket_width(self, steps):
+        # on a dyadic interval every midpoint is exact, so the final midpoint
+        # sits half a bracket (hi - lo) / 2**steps from the end it moved to
+        half = 4.0 / 2.0 ** (steps + 1)
+        assert bisect(lambda t: True, -1.0, 3.0, steps) == 3.0 - half
+        assert bisect(lambda t: False, -1.0, 3.0, steps) == -1.0 + half
+        root = bisect(lambda t: t < 0.3, -1.0, 3.0, steps)
+        assert abs(root - 0.3) <= half
+
+    def test_matches_hand_written_loop(self):
+        pred = lambda t: math.atan(t) < 0.7
+        lo, hi = 0.0, math.pi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if pred(mid):
+                lo = mid
+            else:
+                hi = mid
+        assert bisect(pred, 0.0, math.pi, 60) == 0.5 * (lo + hi)
 
 
 class TestNormalize2:

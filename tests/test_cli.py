@@ -63,6 +63,11 @@ class TestExitCodes:
         p = square_file(tmp_path)
         assert cli.run(["verify", "--body", p, "--grid", "32x64"]) == cli.EXIT_INVALID
 
+    @pytest.mark.parametrize("option", [["--threads", "2"], ["--seed", "1"]])
+    def test_removed_options(self, tmp_path, option):
+        p = cube_file(tmp_path)
+        assert cli.run(["vp", "--body", p, "--grid", "32x64", *option]) == cli.EXIT_PARSE
+
     def test_ok(self, tmp_path):
         assert cli.run(["vp", "--body", cube_file(tmp_path), "--grid", "32x64"]) == cli.EXIT_OK
 

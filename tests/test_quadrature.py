@@ -10,6 +10,7 @@ from mahlerlab import errors
 from mahlerlab.body import (
     LinearMap3,
     LpBall,
+    TransformedBody,
     apply_linear,
     ball,
     cross_polytope,
@@ -57,8 +58,9 @@ class TestMakeGrid:
         with pytest.raises(errors.BadGridSize):
             make_grid(na, nb)
 
-    def test_octant_labels(self):
-        g = make_grid(8, 16)
+    @pytest.mark.parametrize("na,nb", [(8, 16), (96, 192), (128, 256)])
+    def test_octant_labels(self, na, nb):
+        g = make_grid(na, nb)
         for i, s in enumerate(OCTANT_SIGNS):
             m = g.octant == i
             assert np.all(g.units[m] * np.array(s) > 0)
@@ -75,12 +77,13 @@ class TestVolume:
     def test_cross_exact_and_quadrature(self, fine_grid):
         K = cross_polytope()
         assert volume(K, fine_grid) == pytest.approx(4.0 / 3.0, abs=1e-12)
-        vq = volume(K, fine_grid, method="quadrature")
+        # the identity map hides the polytope type, so the quadrature path runs
+        vq = volume(TransformedBody(K, LinearMap3.identity()), fine_grid)
         assert vq == pytest.approx(4.0 / 3.0, rel=5e-3)
 
     def test_grid_convergence_monotone(self):
         errs = [
-            abs(volume(ball(), make_grid(n, 2 * n), method="quadrature") - FOUR_PI / 3)
+            abs(volume(ball(), make_grid(n, 2 * n)) - FOUR_PI / 3)
             for n in (16, 32, 64, 128)
         ]
         # constant-rho integrand is exact at every size, so allow roundoff ties
@@ -93,7 +96,7 @@ class TestVolume:
         E = Ellipsoid.from_axes(1.0, 0.6, 1.4)
         v = 4.0 * math.pi / 3.0 * 1.0 * 0.6 * 1.4
         errs = [
-            abs(volume(E, make_grid(n, 2 * n), method="quadrature") - v)
+            abs(volume(E, make_grid(n, 2 * n)) - v)
             for n in (16, 32, 64, 128)
         ]
         for a, b in zip(errs, errs[1:]):
@@ -125,8 +128,8 @@ class TestOctantVolumes:
     def test_exact_vs_quadrature(self, fine_grid):
         rng = np.random.default_rng(8)
         K = random_symmetric_polytope(rng, pairs=7)
-        ex = octant_volumes(K, fine_grid, method="exact")
-        qu = octant_volumes(K, fine_grid, method="quadrature")
+        ex = octant_volumes(K, fine_grid)
+        qu = octant_volumes(TransformedBody(K, LinearMap3.identity()), fine_grid)
         assert np.allclose(ex, qu, rtol=5e-3)
 
     def test_partition(self, grid):
@@ -284,8 +287,8 @@ class TestQuarterAreas:
 
     def test_exact_vs_quadrature(self):
         K = sheared_cube(np.random.default_rng(15))
-        ex = quarter_areas(K, method="exact")
-        qu = quarter_areas(K, method="quadrature")
+        ex = quarter_areas(K)
+        qu = quarter_areas(TransformedBody(K, LinearMap3.identity()))
         assert np.allclose(ex, qu, rtol=1e-3)
 
 
