@@ -329,14 +329,15 @@ def _table_units(na, nb):
     return sphere_point(al[:, None], be[None, :])
 
 
-def _max_dot(x, pts):
-    """max_j x . pts[j] for a batch of query vectors, chunked for memory."""
+def _max_dot(x, pts, reduce=np.max):
+    """max_j x . pts[j] for a batch of query vectors, chunked for memory;
+    with reduce=np.argmax, the maximizing index j instead."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, 3)
-    out = np.empty(len(flat))
+    out = np.empty(len(flat), dtype=np.intp if reduce is np.argmax else float)
     step = max(1, 4_000_000 // max(len(pts), 1))
     for k in range(0, len(flat), step):
-        out[k : k + step] = np.max(flat[k : k + step] @ pts.T, axis=1)
+        out[k : k + step] = reduce(flat[k : k + step] @ pts.T, axis=1)
     return out.reshape(x.shape[:-1])
 
 
@@ -435,9 +436,7 @@ class RadialField(ConvexBody3):
         na, nb = self.n_alpha, self.n_beta
         units = _table_units(na, nb).reshape(-1, 3)
         h = self.support_many(units)
-        ppts = units / h[:, None]
-        dots = flat @ ppts.T
-        best = np.argmax(dots, axis=1)
+        best = _max_dot(flat, units / h[:, None], reduce=np.argmax)
         ia = np.clip(best // nb, 1, na - 1).astype(float)
         ib = (best % nb).astype(float)
         da, db = math.pi / na, 2.0 * math.pi / nb

@@ -11,7 +11,7 @@ import numpy as np
 
 from .body import ConvexBody3, SymmetricPolytope, polar
 from .errors import MembershipViolated, SingularFace
-from .normalize import condition_residuals
+from .normalize import _condition_residuals
 from .quadrature import (
     GL64,
     SphereGrid,
@@ -50,10 +50,6 @@ def _segment_samples(K: ConvexBody3, P: np.ndarray, Q: np.ndarray, n: int):
     return pts / K.gauge_many(pts)[:, None]
 
 
-def _dual_polyline_smooth(K: ConvexBody3, P, Q, n: int) -> np.ndarray:
-    return K.lambda_many(_segment_samples(K, P, Q, n))
-
-
 def _dual_polyline_polytope(K: SymmetricPolytope, P, Q, n: int) -> np.ndarray:
     """Ordered distinct contact vertices on the polar along the segment.
 
@@ -71,7 +67,7 @@ def _dual_polyline_polytope(K: SymmetricPolytope, P, Q, n: int) -> np.ndarray:
     scale = max(float(np.abs(K.vertices).max()), 1.0)
     tol = 1e-9 * scale
     ts = np.linspace(0.0, 1.0, n + 1)
-    ys = _dual_polyline_smooth(K, P, Q, n)
+    ys = K.lambda_many(_segment_samples(K, P, Q, n))
     out = [ys[0]]
 
     def refine(t0, y0, t1, y1, depth):
@@ -102,7 +98,7 @@ def _dual_curve_vector(K: ConvexBody3, P, Q, n: int) -> np.ndarray:
     if isinstance(K, SymmetricPolytope):
         return _cross_sum(_dual_polyline_polytope(K, P, Q, n))
     # chord sums are O(h^2); one Richardson step removes the leading bias
-    ys = _dual_polyline_smooth(K, P, Q, n)
+    ys = K.lambda_many(_segment_samples(K, P, Q, n))
     full = _cross_sum(ys)
     half = _cross_sum(ys[::2])
     return (4.0 * full - half) / 3.0
@@ -136,19 +132,16 @@ def curve_vectors(K: ConvexBody3, n_curve: int = 512) -> CurveVectors:
     Body-side vectors are planar, so they reduce to twice the quarter-arc
     areas placed in the normal slot; polar-side vectors accumulate the
     pairwise determinant integrals of the contact-map image curves."""
+    return _curve_vectors(K, quarter_areas(K), n_curve)
+
+
+def _curve_vectors(K: ConvexBody3, qa: np.ndarray, n_curve: int) -> CurveVectors:
+    """Curve vectors from the quarter areas qa of K."""
     if n_curve < 64 or n_curve % 2:
         raise ValueError("n_curve must be an even integer >= 64")
-    qa = quarter_areas(K)
     A, B, C = _axis_points(K)
-    ex, ey, ez = np.eye(3)
-    body = {
-        "d": 2.0 * qa[0] * ex,
-        "e": 2.0 * qa[1] * ex,
-        "f": 2.0 * qa[2] * ey,
-        "g": 2.0 * qa[3] * ey,
-        "h": 2.0 * qa[4] * ez,
-        "i": 2.0 * qa[5] * ez,
-    }
+    # d, e in the x=0 plane, f, g in y=0, h, i in z=0
+    body = {k: 2.0 * qa[n] * np.eye(3)[n // 2] for n, k in enumerate("defghi")}
     segs = {
         "d": (B, C),
         "e": (C, -B),
@@ -163,43 +156,43 @@ def curve_vectors(K: ConvexBody3, n_curve: int = 512) -> CurveVectors:
     return CurveVectors(**body, **dual)
 
 
-def _combine(v1, v2, v3, s1, s2, s3):
-    return s1 * v1 + s2 * v2 + s3 * v3
+# the three curves bounding each of the four pieces, with their signs
+_PIECE_CURVES = (
+    (("d", "f", "h"), (1, 1, 1)),
+    (("d", "g", "i"), (-1, 1, 1)),
+    (("e", "g", "h"), (-1, -1, 1)),
+    (("e", "f", "i"), (1, -1, 1)),
+)
 
 
 def test_points(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512):
     """The four points S_i in K and four points R_i in the polar.
 
     Each is a signed combination of three curve vectors divided by six
-    times the matching piece volume; membership (gauge <= 1 + 1e-6) follows
-    from the cone-volume comparison and doubles as a consistency check
-    of the quadrature, so a violation raises."""
+    times the matching piece volume (the first four octant volumes of K
+    and polar pieces); membership (gauge <= 1 + 1e-6) follows from the
+    cone-volume comparison and doubles as a consistency check of the
+    quadrature, so a violation raises."""
     cv = curve_vectors(K, n_curve)
     piece = octant_volumes(K, grid)[:4]
     piece_p = polar_piece_volumes(K, grid)[:4]
-    nums_s = [
-        _combine(cv.d_p, cv.f_p, cv.h_p, 1, 1, 1),
-        _combine(cv.d_p, cv.g_p, cv.i_p, -1, 1, 1),
-        _combine(cv.e_p, cv.g_p, cv.h_p, -1, -1, 1),
-        _combine(cv.e_p, cv.f_p, cv.i_p, 1, -1, 1),
-    ]
-    nums_r = [
-        _combine(cv.d, cv.f, cv.h, 1, 1, 1),
-        _combine(cv.d, cv.g, cv.i, -1, 1, 1),
-        _combine(cv.e, cv.g, cv.h, -1, -1, 1),
-        _combine(cv.e, cv.f, cv.i, 1, -1, 1),
-    ]
-    # a piece that vanishes (possible for the polar pieces of a polytope)
-    # gets the degenerate test point O, whose pairing is trivially 0
-    eps_s = 1e-12 * float(np.sum(piece_p))
-    eps_r = 1e-12 * float(np.sum(piece))
-    S = np.array(
-        [v / (6.0 * p) if p > eps_s else np.zeros(3) for v, p in zip(nums_s, piece_p)]
-    )
-    R = np.array(
-        [v / (6.0 * p) if p > eps_r else np.zeros(3) for v, p in zip(nums_r, piece)]
-    )
-    Kp = polar(K)
+    return _test_points(K, polar(K), cv, piece, piece_p)
+
+
+def _test_points(K, Kp, cv: CurveVectors, piece, piece_p):
+    """S_i, R_i from the curve vectors and the pieces of K and of Kp = polar(K)."""
+
+    def points(suffix, pieces):
+        # a piece that vanishes (possible for the polar pieces of a polytope)
+        # gets the degenerate test point O, whose pairing is trivially 0
+        eps = 1e-12 * float(np.sum(pieces))
+        vec = {k: getattr(cv, k + suffix) for k in "defghi"}
+        return np.array([
+            (s1 * vec[a] + s2 * vec[b] + s3 * vec[c]) / (6.0 * p) if p > eps else np.zeros(3)
+            for ((a, b, c), (s1, s2, s3)), p in zip(_PIECE_CURVES, pieces)
+        ])
+
+    S, R = points("_p", piece_p), points("", piece)
     gS = K.gauge_many(S)
     gR = Kp.gauge_many(R)
     if np.max(gS) > 1.0 + 1e-6 or np.max(gR) > 1.0 + 1e-6:
@@ -241,18 +234,23 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512) -> ChainR
     factors are polar to each other; hence the product is >= 32/3.  When
     the condition residual is large the report is marked not applicable but
     the pairings and planar products are still evaluated (they hold
-    unconditionally)."""
+    unconditionally).  Each measure of K and of its polar is computed once:
+    the octant volumes feed the residual and the R_i, the quarter areas the
+    residual and the body-side curve vectors."""
     vol = volume(K, grid)
     Kp = polar(K)
     vol_p = volume(Kp, grid)
     product = vol * vol_p
-    _, r23 = condition_residuals(K, grid)
+    ov = octant_volumes(K, grid)
+    qa = quarter_areas(K)
+    _, r23 = _condition_residuals(ov, qa)
     resid = float(np.max(np.abs(r23))) / vol
     applicable = resid < 1e-4
-    S, R = test_points(K, grid, n_curve)
-    pairings = np.einsum("ij,ij->i", R, S)
-    piece = octant_volumes(K, grid)[:4]
+    cv = _curve_vectors(K, qa, n_curve)
+    piece = ov[:4]
     piece_p = polar_piece_volumes(K, grid)[:4]
+    S, R = _test_points(K, Kp, cv, piece, piece_p)
+    pairings = np.einsum("ij,ij->i", R, S)
     Q, _ = plane_measures(K, grid)
     _, P = plane_measures(Kp, grid)
     planar_products = Q * P
@@ -294,27 +292,29 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512) -> ChainR
 
 
 _GL8 = np.polynomial.legendre.leggauss(8)
+_PANELS = 64
 
 
-def _gauge_line_integral(K: ConvexBody3, P, Q, panels: int = 64) -> float:
-    """int_0^1 gauge((1-t)P + tQ)^(-2) dt, composite Gauss-Legendre."""
+def _gauge_line_integral(K: ConvexBody3, P, Q) -> float:
+    """int_0^1 gauge((1-t)P + tQ)^(-2) dt, composite Gauss-Legendre on 64
+    panels of 8 nodes."""
     x, w = _GL8
-    edges = np.linspace(0.0, 1.0, panels + 1)
+    edges = np.linspace(0.0, 1.0, _PANELS + 1)
     centre = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 / panels
+    half = 0.5 / _PANELS
     t = (centre[:, None] + half * x[None, :]).ravel()
     pts = np.outer(1.0 - t, P) + np.outer(t, Q)
     g = K.gauge_many(pts)
-    wt = np.tile(w * half, panels)
+    wt = np.tile(w * half, _PANELS)
     return float(np.sum(wt / g**2))
 
 
-def curve_vector_between(K: ConvexBody3, P, Q, panels: int = 64) -> np.ndarray:
+def curve_vector_between(K: ConvexBody3, P, Q) -> np.ndarray:
     """Curve vector of the oriented boundary segment from P to Q.
 
     For the radial projection of a chord the integrand factorizes: the
     vector is cross(P, Q) times the line integral of gauge^(-2)."""
-    return np.cross(P, Q) * _gauge_line_integral(K, P, Q, panels)
+    return np.cross(P, Q) * _gauge_line_integral(K, P, Q)
 
 
 def cone_volume(K: ConvexBody3, A1, A2, A3) -> float:
@@ -401,49 +401,19 @@ def dual_vertex3(p1, p2, p3) -> np.ndarray:
     return v
 
 
-def _is_parallelepiped(K: ConvexBody3, tol: float) -> bool:
-    if not isinstance(K, SymmetricPolytope):
-        return False
-    if len(K.vertices) != 8 or len(K.facets) != 6:
-        return False
-    # pair facets by negation and check the vertex set is B^{-1}{+-1}^3
-    fac = K.facets
-    used = np.zeros(6, dtype=bool)
-    normals = []
-    scale = float(np.abs(fac).max())
-    for a in range(6):
-        if used[a]:
-            continue
-        match = None
-        for b in range(a + 1, 6):
-            if not used[b] and np.allclose(fac[a], -fac[b], atol=tol * scale):
-                match = b
-                break
-        if match is None:
-            return False
-        used[a] = used[match] = True
-        normals.append(fac[a])
-    B = np.array(normals)
-    if abs(np.linalg.det(B)) < 1e-10 * scale**3:
-        return False
-    corners = np.array(
-        [np.linalg.solve(B, s) for s in np.array(np.meshgrid(*[[-1, 1]] * 3)).T.reshape(-1, 3)]
-    )
-    vscale = float(np.abs(K.vertices).max())
-    for v in K.vertices:
-        if np.min(np.max(np.abs(corners - v), axis=1)) > tol * vscale:
-            return False
-    return True
+def _is_parallelepiped(K: ConvexBody3) -> bool:
+    # a symmetric polytope with six facets is three slabs: a parallelepiped
+    return isinstance(K, SymmetricPolytope) and len(K.vertices) == 8 and len(K.facets) == 6
 
 
-def detect_equality(K: ConvexBody3, tol: float = 1e-5) -> str:
+def detect_equality(K: ConvexBody3) -> str:
     """Classify a body as an extremizer shape.
 
-    Returns "parallelepiped" if the body itself is one (within tol),
-    "cross_polytope_dual" if its polar is, "neither" otherwise.  Smooth
-    bodies are never extremizers, so non-polytopes report "neither"."""
-    if _is_parallelepiped(K, tol):
+    Returns "parallelepiped" if the body itself is one, "cross_polytope_dual"
+    if its polar is, "neither" otherwise.  Smooth bodies are never
+    extremizers, so non-polytopes report "neither"."""
+    if _is_parallelepiped(K):
         return "parallelepiped"
-    if isinstance(K, SymmetricPolytope) and _is_parallelepiped(polar(K), tol):
+    if isinstance(K, SymmetricPolytope) and _is_parallelepiped(polar(K)):
         return "cross_polytope_dual"
     return "neither"

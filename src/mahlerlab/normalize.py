@@ -16,6 +16,7 @@ a couple of grid passes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,13 +157,13 @@ def balance_angles(K: ConvexBody3, grid: SphereGrid) -> BalanceAngles:
     return BalanceAngles(theta, phi, psi)
 
 
-def balance_residuals(K: ConvexBody3, ang: BalanceAngles, n: int = 200):
+def balance_residuals(K: ConvexBody3, ang: BalanceAngles):
     """Independent Gauss-Legendre check of the three balance equations.
 
     Returns (I_theta, I_phi, I_psi): differences of the two sides, each
-    computed with composite GL on the split intervals (no FFT involved).
+    computed with 200-point GL on the split intervals (no FFT involved).
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = np.polynomial.legendre.leggauss(200)
 
     def seg(f, a, b):
         t = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -226,7 +227,8 @@ def rotate(K: ConvexBody3, theta: float, phi: float, psi: float) -> ConvexBody3:
 
 
 def _fgh_body(L: ConvexBody3, grid: SphereGrid):
-    """(F,G,H) of a body under its own shear; also the pieces used."""
+    """(F,G,H) of a body under its own shear; also the balance angles, the
+    shear, the sheared body and its target residuals r23."""
     ang = balance_angles(L, grid)
     A = shear_matrix(ang)
     M = L.transformed(A)
@@ -235,7 +237,8 @@ def _fgh_body(L: ConvexBody3, grid: SphereGrid):
     F = qa[0] - qa[1]
     G = ov[0] + ov[2] - ov[1] - ov[3]
     H = ov[0] + ov[3] - ov[1] - ov[2]
-    return np.array([F, G, H]), ang, A, M
+    _, r23 = _condition_residuals(ov, qa)
+    return np.array([F, G, H]), ang, A, M, r23
 
 
 def _theta_cap0(K: ConvexBody3, phi: float, psi: float, grid: SphereGrid) -> float:
@@ -243,23 +246,27 @@ def _theta_cap0(K: ConvexBody3, phi: float, psi: float, grid: SphereGrid) -> flo
     return _theta_only(rotate(K, 0.0, phi, psi), grid)
 
 
-def _fgh_raw(K, s, phi, psi, grid, th0=None):
+def _fgh_at(K, s, phi, psi, grid, th0=None):
+    """theta = (pi - Theta(0, phi, psi)) s and the _fgh_body evaluation of
+    X(theta) Y(phi) Z(psi) K; th0 is Theta(0, phi, psi) if already solved."""
     if th0 is None:
         th0 = _theta_cap0(K, phi, psi, grid)
     theta = (PI - th0) * s
-    L = rotate(K, theta, phi, psi)
-    return _fgh_body(L, grid)[0]
+    return theta, _fgh_body(rotate(K, theta, phi, psi), grid)
 
 
 def fgh(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> np.ndarray:
     """(F, G, H) at a box point (s, phi, psi)."""
-    return _fgh_raw(K, point.s, point.phi, point.psi, grid)
+    return _fgh_at(K, point.s, point.phi, point.psi, grid)[1][0]
 
 
 def condition_residuals(K: ConvexBody3, grid: SphereGrid):
     """Signed residuals of the shear condition (r22) and the target (r23)."""
-    ov = octant_volumes(K, grid)
-    qa = quarter_areas(K)
+    return _condition_residuals(octant_volumes(K, grid), quarter_areas(K))
+
+
+def _condition_residuals(ov, qa):
+    """r22, r23 from the octant volumes ov and quarter areas qa of a body."""
     r22 = np.array([qa[2] - qa[3], qa[4] - qa[5], ov[0] + ov[1] - ov[2] - ov[3]])
     r23 = np.array([ov[0] - ov[1], ov[0] - ov[2], ov[0] - ov[3], qa[0] - qa[1]])
     return r22, r23
@@ -296,78 +303,49 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
     X(pi-Theta) turn, the sign relations of (F,G,H) under those maps, and
     the three face-matching identities of the box field.
     """
+    s, phi, psi = point.s, point.phi, point.psi
+    th0 = _theta_cap0(K, phi, psi, grid)
+    L = rotate(K, (PI - th0) * s, phi, psi)
+    FL, angL, *_ = _fgh_body(L, grid)
+    a = (angL.theta_cap, angL.phi_cap, angL.psi_cap)
+    # one row per map of L: the image's (Theta, Phi, Psi) as (index i into a,
+    # relation), where "=" expects a[i], "-" expects pi - a[i] and "+" checks
+    # a[i] + angle = pi; the image's (F, G, H) as (sign, index into FL)
+    body_maps = (
+        ("comp", LinearMap3.rotation_x(PI - a[0]), "+-=", (0, 2, 1), ((-1, 0), (-1, 2), (1, 1))),
+        ("xpi", LinearMap3.rotation_x(PI), "=--", (0, 1, 2), ((1, 0), (-1, 1), (-1, 2))),
+        ("ypi", LinearMap3.rotation_y(PI), "--=", (0, 1, 2), ((-1, 0), (-1, 1), (1, 2))),
+        ("zpi", LinearMap3.rotation_z(PI), "-=-", (0, 1, 2), ((-1, 0), (1, 1), (-1, 2))),
+    )
     res = {}
-    th0 = _theta_cap0(K, point.phi, point.psi, grid)
-    theta = (PI - th0) * point.s
-    L = rotate(K, theta, point.phi, point.psi)
-    FL, angL, _, _ = _fgh_body(L, grid)
-    Th, Ph, Ps = angL.theta_cap, angL.phi_cap, angL.psi_cap
-
-    # L2 = X(pi - Theta) L : complementary body
-    L2 = L.transformed(LinearMap3.rotation_x(PI - Th))
-    F2, ang2, _, _ = _fgh_body(L2, grid)
-    res["comp_theta_sum"] = abs(Th + ang2.theta_cap - PI)
-    res["comp_phi"] = abs(ang2.phi_cap - (PI - Ps))
-    res["comp_psi"] = abs(ang2.psi_cap - Ph)
-    res["comp_F"] = abs(F2[0] + FL[0])
-    res["comp_G"] = abs(F2[1] + FL[2])
-    res["comp_H"] = abs(F2[2] - FL[1])
-
-    # half turn about the x-axis
-    LX = L.transformed(LinearMap3.rotation_x(PI))
-    FX, angX, _, _ = _fgh_body(LX, grid)
-    res["xpi_theta"] = abs(angX.theta_cap - Th)
-    res["xpi_phi"] = abs(angX.phi_cap - (PI - Ph))
-    res["xpi_psi"] = abs(angX.psi_cap - (PI - Ps))
-    res["xpi_F"] = abs(FX[0] - FL[0])
-    res["xpi_G"] = abs(FX[1] + FL[1])
-    res["xpi_H"] = abs(FX[2] + FL[2])
-
-    # half turn about the y-axis
-    LY = L.transformed(LinearMap3.rotation_y(PI))
-    FY, angY, _, _ = _fgh_body(LY, grid)
-    res["ypi_theta"] = abs(angY.theta_cap - (PI - Th))
-    res["ypi_phi"] = abs(angY.phi_cap - (PI - Ph))
-    res["ypi_psi"] = abs(angY.psi_cap - Ps)
-    res["ypi_F"] = abs(FY[0] + FL[0])
-    res["ypi_G"] = abs(FY[1] + FL[1])
-    res["ypi_H"] = abs(FY[2] - FL[2])
-
-    # half turn about the z-axis
-    LZ = L.transformed(LinearMap3.rotation_z(PI))
-    FZ, angZ, _, _ = _fgh_body(LZ, grid)
-    res["zpi_theta"] = abs(angZ.theta_cap - (PI - Th))
-    res["zpi_phi"] = abs(angZ.phi_cap - Ph)
-    res["zpi_psi"] = abs(angZ.psi_cap - (PI - Ps))
-    res["zpi_F"] = abs(FZ[0] + FL[0])
-    res["zpi_G"] = abs(FZ[1] - FL[1])
-    res["zpi_H"] = abs(FZ[2] + FL[2])
-
-    # top face vs bottom face of the box
-    f0 = _fgh_raw(K, 0.0, point.phi, point.psi, grid, th0=th0)
-    f1 = _fgh_raw(K, 1.0, point.phi, point.psi, grid, th0=th0)
-    res["face_s_F"] = abs(f1[0] + f0[0])
-    res["face_s_G"] = abs(f1[1] + f0[2])
-    res["face_s_H"] = abs(f1[2] - f0[1])
-
-    # phi = pi face vs phi = 0 face through T_psi
-    ts = t_map(K, point.s, point.psi, grid)
-    fpi = _fgh_raw(K, point.s, PI, point.psi, grid)
-    f0t = _fgh_raw(K, ts, 0.0, point.psi, grid)
-    res["face_phi_F"] = abs(fpi[0] - f0t[0])
-    res["face_phi_G"] = abs(fpi[1] + f0t[2])
-    res["face_phi_H"] = abs(fpi[2] + f0t[1])
-
-    # psi = pi face vs psi = 0 face
-    fps = _fgh_raw(K, point.s, point.phi, PI, grid)
-    f0p = _fgh_raw(K, point.s, PI - point.phi, 0.0, grid)
-    res["face_psi_F"] = abs(fps[0] - f0p[0])
-    res["face_psi_G"] = abs(fps[1] + f0p[1])
-    res["face_psi_H"] = abs(fps[2] + f0p[2])
+    for name, turn, relations, index, field in body_maps:
+        F2, ang2, *_ = _fgh_body(L.transformed(turn), grid)
+        got = (ang2.theta_cap, ang2.phi_cap, ang2.psi_cap)
+        for label, g, rel, i in zip(("theta", "phi", "psi"), got, relations, index):
+            if rel == "+":
+                res[f"{name}_{label}_sum"] = abs(a[i] + g - PI)
+            else:
+                res[f"{name}_{label}"] = abs(g - (PI - a[i] if rel == "-" else a[i]))
+        for label, f, (sign, i) in zip("FGH", F2, field):
+            res[f"{name}_{label}"] = abs(f - sign * FL[i])
+    # one row per pair of box faces: a face point, its partner, the
+    # Theta(0, phi, psi) they share (None: solve for each), and the face
+    # point's (F, G, H) as (sign, index into the partner's)
+    ts = t_map(K, s, psi, grid)
+    face_pairs = (
+        ("face_s", (1.0, phi, psi), (0.0, phi, psi), th0, ((-1, 0), (-1, 2), (1, 1))),
+        ("face_phi", (s, PI, psi), (ts, 0.0, psi), None, ((1, 0), (-1, 2), (-1, 1))),
+        ("face_psi", (s, phi, PI), (s, PI - phi, 0.0), None, ((1, 0), (-1, 1), (-1, 2))),
+    )
+    for name, face, partner, shared, field in face_pairs:
+        f1 = _fgh_at(K, *face, grid, th0=shared)[1][0]
+        f0 = _fgh_at(K, *partner, grid, th0=shared)[1][0]
+        for label, f, (sign, i) in zip("FGH", f1, field):
+            res[f"{name}_{label}"] = abs(f - sign * f0[i])
 
     # endpoints of the face-matching map
-    res["t_map_0"] = abs(t_map(K, 0.0, point.psi, grid) - 1.0)
-    res["t_map_1"] = abs(t_map(K, 1.0, point.psi, grid))
+    res["t_map_0"] = abs(t_map(K, 0.0, psi, grid) - 1.0)
+    res["t_map_1"] = abs(t_map(K, 1.0, psi, grid))
     return res
 
 
@@ -444,17 +422,18 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     """
     volK = volume(K, grid)
     target = 1e-8 * volK
-    th0_cache: dict[tuple, float] = {}
+    # Theta(0, phi, psi) per rounded angle pair, with the exact pair solved for
+    th0_cache: dict[tuple, tuple] = {}
 
     def th0(phi, psi):
         key = (round(phi, 12), round(psi, 12))
         if key not in th0_cache:
-            th0_cache[key] = _theta_cap0(K, phi, psi, grid)
-        return th0_cache[key]
+            th0_cache[key] = (_angle_bits(phi, psi), _theta_cap0(K, phi, psi, grid))
+        return th0_cache[key][1]
 
     def f(x):
         s, phi, psi = x
-        return _fgh_raw(K, s, phi, psi, grid, th0=th0(phi, psi))
+        return _fgh_at(K, s, phi, psi, grid, th0(phi, psi))[1][0]
 
     def norm(v):
         return float(np.max(np.abs(v)))
@@ -511,19 +490,18 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
         return None
 
     # quick exit for bodies already normalized at the origin of the box
-    v0 = f(np.array([0.0, 0.0, 0.0]))
+    theta0, origin = _fgh_at(K, 0.0, 0.0, 0.0, grid, th0(0.0, 0.0))
+    v0 = origin[0]
     if norm(v0) < target:
-        return _build_result(K, (0.0, 0.0, 0.0), grid)
+        return _result((theta0, 0.0, 0.0), origin)
 
     svals = np.linspace(0.0, 1.0, 9)
     avals = np.linspace(0.0, PI, 9)
     cand = [(norm(v0), (0.0, 0.0, 0.0), v0)]
-    for phi in avals:
-        for psi in avals:
-            for s in svals:
-                x = np.array([s, phi, psi])
-                v = f(x)
-                cand.append((norm(v), tuple(x), v))
+    for phi, psi, s in itertools.product(avals, avals, svals):
+        x = np.array([s, phi, psi])
+        v = f(x)
+        cand.append((norm(v), tuple(x), v))
     cand.sort(key=lambda c: c[0])
 
     zeros = []
@@ -536,12 +514,10 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     while not zeros and depth < 12:
         spacing = spacing / 2.0
         local = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for dk in (-1, 0, 1):
-                    x = clip(center + spacing * np.array([di, dj, dk]))
-                    v = f(x)
-                    local.append((norm(v), tuple(x), v))
+        for step in itertools.product((-1, 0, 1), repeat=3):
+            x = clip(center + spacing * np.array(step))
+            v = f(x)
+            local.append((norm(v), tuple(x), v))
         local.sort(key=lambda c: c[0])
         center = np.array(local[0][1])
         got = refine(local[0][1], local[0][2])
@@ -551,19 +527,22 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     if not zeros:
         raise NoZeroFound("no zero of (F,G,H) located in the box")
     zeros.sort(key=lambda z: (norm(z[1]), tuple(np.round(z[0], 9))))
-    x = zeros[0][0]
-    return _build_result(K, (x[0], x[1], x[2]), grid)
+    s, phi, psi = zeros[0][0]
+    # the cached angle may belong to a nearby pair with the same rounding
+    solved, t0 = th0_cache.get((round(phi, 12), round(psi, 12)), (None, None))
+    theta, final = _fgh_at(K, s, phi, psi, grid, t0 if solved == _angle_bits(phi, psi) else None)
+    return _result((theta, phi, psi), final)
 
 
-def _build_result(K, spp, grid) -> NormalizationResult:
-    s, phi, psi = spp
-    th0 = _theta_cap0(K, phi, psi, grid)
-    theta = (PI - th0) * s
-    L = rotate(K, theta, phi, psi)
-    v, ang, A, M = _fgh_body(L, grid)
-    _, r23 = condition_residuals(M, grid)
+def _angle_bits(phi, psi) -> bytes:
+    return np.array([phi, psi], dtype=float).tobytes()
+
+
+def _result(angles, evaluation) -> NormalizationResult:
+    """The result at rotation angles (theta, phi, psi) from its field evaluation."""
+    v, _, A, M, r23 = evaluation
     return NormalizationResult(
-        angles=(theta, phi, psi),
+        angles=angles,
         shear=A,
         normalized_body=M,
         residual23=r23,

@@ -266,9 +266,10 @@ def _arc_area(K: ConvexBody3, plane: int, t0: float, t1: float) -> float:
 def quarter_areas(K: ConvexBody3) -> np.ndarray:
     """(|O*d|, |O*e|, |O*f|, |O*g|, |O*h|, |O*i|)."""
     if isinstance(K, SymmetricPolytope):
+        sections = {p: section_polygon(K, p) for p in (1, 2, 3)}
         return np.array(
             [
-                abs(planar.shoelace(planar.clip_quadrant(section_polygon(K, p), s0, s1)))
+                abs(planar.shoelace(planar.clip_quadrant(sections[p], s0, s1)))
                 for p, s0, s1 in _QUARTERS
             ]
         )

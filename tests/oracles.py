@@ -108,3 +108,41 @@ def solid_angle(a, b, c):
 def ball_cone_volume(a, b, c, radius=1.0):
     """Volume of the radial cone of a ball over a spherical triangle."""
     return solid_angle(a, b, c) * radius**3 / 3.0
+
+
+def is_parallelepiped(K, tol=1e-5):
+    """Parallelepiped test by geometry: the six facets pair up by negation
+    (within tol) into three independent normals B, and every vertex lies
+    within tol of a corner B^{-1}{+-1}^3."""
+    from mahlerlab.body import SymmetricPolytope
+
+    if not isinstance(K, SymmetricPolytope):
+        return False
+    if len(K.vertices) != 8 or len(K.facets) != 6:
+        return False
+    fac = K.facets
+    used = np.zeros(6, dtype=bool)
+    normals = []
+    scale = float(np.abs(fac).max())
+    for a in range(6):
+        if used[a]:
+            continue
+        match = None
+        for b in range(a + 1, 6):
+            if not used[b] and np.allclose(fac[a], -fac[b], atol=tol * scale):
+                match = b
+                break
+        if match is None:
+            return False
+        used[a] = used[match] = True
+        normals.append(fac[a])
+    B = np.array(normals)
+    if abs(np.linalg.det(B)) < 1e-10 * scale**3:
+        return False
+    signs = np.array(np.meshgrid(*[[-1, 1]] * 3)).T.reshape(-1, 3)
+    corners = np.array([np.linalg.solve(B, s) for s in signs])
+    vscale = float(np.abs(K.vertices).max())
+    for v in K.vertices:
+        if np.min(np.max(np.abs(corners - v), axis=1)) > tol * vscale:
+            return False
+    return True

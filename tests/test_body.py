@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ class TestPolar:
         us = make_grid(64, 128).units
         r0, r1 = K.radial_many(us), polar(polar(K)).radial_many(us)
         assert np.max(np.abs(r1 / r0 - 1.0)) < 1e-6
+
+    def test_radial_lambda_memory_bounded(self):
+        # boundary points of the 128x256 grid against a 33x64 table: the
+        # dense query-by-table dot matrix alone would take 553 MB
+        K = RadialField.from_function(
+            lambda u: 1.0 / np.sum(u**4, axis=-1) ** 0.25, 32, 64
+        )
+        grid = make_grid(128, 256)
+        pts = grid.units * K.radial_many(grid.units)[:, None]
+        tracemalloc.start()
+        try:
+            y = K.lambda_many(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert np.allclose(np.einsum("ij,ij->i", pts, y), 1.0, atol=0.01)
 
     def test_polytope_counts_swap(self):
         rng = np.random.default_rng(33)

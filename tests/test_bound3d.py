@@ -10,11 +10,20 @@ from conftest import (
     random_symmetric_polytope,
     sheared_cube,
 )
-from mahlerlab import errors
-from mahlerlab.body import LinearMap3, LpBall, ball, cross_polytope, cube, polar
+from mahlerlab import bound3d, errors, normalize
+from mahlerlab.body import (
+    LinearMap3,
+    LpBall,
+    SymmetricPolytope,
+    ball,
+    cross_polytope,
+    cube,
+    polar,
+)
 from mahlerlab.bound3d import (
     LOWER_BOUND,
     _dual_curve_vector,
+    _is_parallelepiped,
     cone_inequality_check,
     cone_volume,
     curve_vector_between,
@@ -162,6 +171,26 @@ class TestVerifyChain:
             )
             assert d < 1e-9 * np.abs(shadow.vertices).max()
 
+    def test_measures_computed_once(self, grid, monkeypatch):
+        # every binding the chain could reach, in bound3d and in normalize
+        calls = {}
+        for module in (bound3d, normalize):
+            for name in ("octant_volumes", "polar_piece_volumes", "quarter_areas", "polar"):
+                if hasattr(module, name):
+                    fn = getattr(module, name)
+
+                    def counted(*a, _fn=fn, _name=name, **kw):
+                        calls[_name] = calls.get(_name, 0) + 1
+                        return _fn(*a, **kw)
+
+                    monkeypatch.setattr(module, name, counted)
+        rep = verify_chain(sheared_cube(np.random.default_rng(111)), grid)
+        assert rep.chain_ok
+        assert calls["octant_volumes"] == 1
+        assert calls["polar_piece_volumes"] == 1
+        assert calls["quarter_areas"] == 1
+        assert calls.get("polar", 0) <= 1
+
 
 class TestCone:
     def test_origin_point_trivial(self):
@@ -229,3 +258,25 @@ class TestDetectEquality:
         assert detect_equality(ball()) == "neither"
         K = random_symmetric_polytope(np.random.default_rng(110), pairs=9)
         assert detect_equality(K) == "neither"
+
+    def test_counting_matches_geometric_reference(self):
+        # 8 vertices and 6 facets against the facet-pairing and corner check
+        rng = np.random.default_rng(112)
+        bodies = []
+        for _ in range(40):
+            A = LinearMap3(rng.standard_normal((3, 3)) + 2.0 * np.eye(3))
+            bodies += [cube().transformed(A), cross_polytope().transformed(A)]
+            bodies.append(random_symmetric_polytope(rng, pairs=int(rng.integers(4, 7))))
+        for e in 10.0 ** np.arange(-13, -3):
+            v = cube().vertices.copy()
+            v[[0, 7]] *= 1.0 + e
+            bodies.append(SymmetricPolytope(v))
+        for seed in range(2):
+            bodies += body_corpus(seed=seed)
+        bodies += [polar(K) for K in bodies if isinstance(K, SymmetricPolytope)]
+        kinds = {True: 0, False: 0}
+        for K in bodies:
+            got = _is_parallelepiped(K)
+            assert got == oracles.is_parallelepiped(K), K.provenance
+            kinds[got] += 1
+        assert kinds[True] >= 80 and kinds[False] >= 80

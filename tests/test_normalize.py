@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import random_smooth_body, sheared_cube
-from mahlerlab import errors
+from mahlerlab import errors, normalize
 from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, cube
 from mahlerlab.normalize import (
     BalanceAngles,
@@ -23,7 +23,7 @@ from mahlerlab.normalize import (
     t_map,
     winding,
 )
-from mahlerlab.quadrature import octant_volumes, volume, wedge_volume
+from mahlerlab.quadrature import make_grid, octant_volumes, volume, wedge_volume
 
 PI = math.pi
 
@@ -169,7 +169,7 @@ class TestFGH:
 
         th0 = _theta_cap0(K, point.phi, point.psi, grid)
         L = rotate(K, (PI - th0) * point.s, point.phi, point.psi)
-        v, ang, A, M = _fgh_body(L, grid)
+        v, ang, A, M, _ = _fgh_body(L, grid)
         mc = oracles.mc_octant_volumes(M, n=4_000_000, seed=77)
         G = mc[0] + mc[2] - mc[1] - mc[3]
         H = mc[0] + mc[3] - mc[1] - mc[2]
@@ -243,6 +243,20 @@ class TestSymmetryResiduals:
         res = symmetry_residuals(K, BoxPoint(0.0, 0.0, 0.0), grid)
         assert max(res.values()) < 1e-6 * volume(K, grid)
 
+    def test_keys(self):
+        res = symmetry_residuals(
+            LpBall(3.0, (1.0, 0.7, 1.3)), BoxPoint(0.5, 1.0, 2.0), make_grid(16, 32)
+        )
+        maps = [
+            f"{m}_{k}"
+            for m in ("comp", "xpi", "ypi", "zpi")
+            for k in ("theta", "phi", "psi", "F", "G", "H")
+        ]
+        maps[0] = "comp_theta_sum"
+        faces = [f"face_{f}_{k}" for f in ("s", "phi", "psi") for k in "FGH"]
+        assert list(res) == maps + faces + ["t_map_0", "t_map_1"]
+        assert len(res) == 35
+
 
 class TestWinding:
     def test_perturbed_cube_odd_and_stable(self, grid):
@@ -271,6 +285,18 @@ class TestFindNormalization:
         assert res.angles == (0.0, 0.0, 0.0)
         assert np.allclose(res.shear.matrix, np.eye(3), atol=1e-8)
         assert np.max(np.abs(res.residual23)) < 1e-6 * volume(K, grid)
+
+    def test_quick_exit_evaluates_once(self, grid, monkeypatch):
+        calls = []
+
+        def counted(K, grid):
+            calls.append(K)
+            return balance_angles(K, grid)
+
+        monkeypatch.setattr(normalize, "balance_angles", counted)
+        res = find_normalization(Ellipsoid.from_axes(1.2, 0.8, 1.1), grid)
+        assert res.angles == (0.0, 0.0, 0.0)
+        assert len(calls) == 1
 
     def test_sheared_cube(self, grid):
         K = sheared_cube(np.random.default_rng(86))

@@ -291,6 +291,18 @@ class TestQuarterAreas:
         qu = quarter_areas(TransformedBody(K, LinearMap3.identity()))
         assert np.allclose(ex, qu, rtol=1e-3)
 
+    def test_one_section_per_plane(self, monkeypatch):
+        calls = []
+        build = planar.halfspaces_to_polygon
+
+        def counted(normals):
+            calls.append(normals)
+            return build(normals)
+
+        monkeypatch.setattr(planar, "halfspaces_to_polygon", counted)
+        quarter_areas(cube())
+        assert len(calls) == 3
+
 
 class TestVolumeProduct:
     def test_cube(self, grid):
