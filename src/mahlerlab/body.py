@@ -111,6 +111,9 @@ class ConvexBody3:
 
     provenance: str = ""
 
+    def __setattr__(self, *a):
+        raise AttributeError("bodies are immutable")
+
     # -- evaluators ---------------------------------------------------
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -201,9 +204,6 @@ class SymmetricPolytope(ConvexBody3):
         object.__setattr__(self, "facets", fac)
         object.__setattr__(self, "provenance", provenance)
 
-    def __setattr__(self, *a):
-        raise AttributeError("bodies are immutable")
-
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
         return np.max(pts @ self.facets.T, axis=-1)
@@ -252,9 +252,6 @@ class LpBall(ConvexBody3):
         object.__setattr__(self, "q", p / (p - 1.0))
         object.__setattr__(self, "provenance", provenance)
 
-    def __setattr__(self, *a):
-        raise AttributeError("bodies are immutable")
-
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
         z = np.abs(pts) / self.axes
@@ -292,9 +289,6 @@ class Ellipsoid(ConvexBody3):
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "Minv", np.linalg.inv(M))
         object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, *a):
-        raise AttributeError("bodies are immutable")
 
     @staticmethod
     def from_axes(a, b, c):
@@ -384,9 +378,6 @@ class RadialField(ConvexBody3):
         object.__setattr__(self, "n_beta", nb)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_bpts", (vals[..., None] * units).reshape(-1, 3))
-
-    def __setattr__(self, *a):
-        raise AttributeError("bodies are immutable")
 
     @staticmethod
     def from_function(rho, n_alpha=128, n_beta=256, provenance="radial"):
@@ -487,9 +478,6 @@ class TransformedBody(ConvexBody3):
             self, "provenance", provenance or f"map({base.provenance})"
         )
 
-    def __setattr__(self, *a):
-        raise AttributeError("bodies are immutable")
-
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
         return self.base.gauge_many(pts @ self.map.inverse.T)
@@ -510,9 +498,6 @@ class TransformedBody(ConvexBody3):
             provenance=f"polar({self.provenance})",
         )
 
-    def transformed(self, A):
-        return TransformedBody(self, A)
-
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -520,8 +505,6 @@ class TransformedBody(ConvexBody3):
 
 def make_body(spec) -> ConvexBody3:
     """Build a body from a descriptor dict (see the CLI schema)."""
-    if isinstance(spec, ConvexBody3):
-        return spec
     if not isinstance(spec, dict) or "type" not in spec:
         raise ParseError("body descriptor must be a dict with a 'type' field")
     kind = spec["type"]

@@ -154,7 +154,7 @@ class Report2:
     bound_ok: bool
 
 
-def verify2(P: Polygon2, tol: float = 1e-9) -> Report2:
+def verify2(P: Polygon2) -> Report2:
     """Evaluate the two-piece test-point chain giving area(P)*area(polar) >= 8.
 
     Requires P normalized (normalize2 output). The polar is cut by the lines
@@ -187,7 +187,7 @@ def verify2(P: Polygon2, tol: float = 1e-9) -> Report2:
     pair1 = float(r1 @ s1)
     pair2 = float(r2 @ s2)
     product = area * polar_area
-    ok = pair1 <= 1.0 + 1e-12 and pair2 <= 1.0 + 1e-12 and product >= 8.0 - tol
+    ok = pair1 <= 1.0 + 1e-12 and pair2 <= 1.0 + 1e-12 and product >= 8.0 - 1e-9
     return Report2(
         b=b,
         c=c,

@@ -15,9 +15,9 @@ from .normalize import _condition_residuals
 from .quadrature import (
     GL64,
     SphereGrid,
+    _polar_pieces,
     octant_volumes,
     plane_measures,
-    polar_piece_volumes,
     quarter_areas,
     volume,
 )
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 LOWER_BOUND = 32.0 / 3.0
+_N_CURVE = 512  # chord samples per boundary curve of the polar-side curve vectors
 
 
 def _axis_points(K: ConvexBody3):
@@ -126,19 +127,17 @@ class CurveVectors:
     i_p: np.ndarray
 
 
-def curve_vectors(K: ConvexBody3, n_curve: int = 512) -> CurveVectors:
+def curve_vectors(K: ConvexBody3) -> CurveVectors:
     """Curve vectors of the six oriented boundary segments and their duals.
 
     Body-side vectors are planar, so they reduce to twice the quarter-arc
     areas placed in the normal slot; polar-side vectors accumulate the
     pairwise determinant integrals of the contact-map image curves."""
-    return _curve_vectors(K, quarter_areas(K), n_curve)
+    return _curve_vectors(K, quarter_areas(K))
 
 
-def _curve_vectors(K: ConvexBody3, qa: np.ndarray, n_curve: int) -> CurveVectors:
+def _curve_vectors(K: ConvexBody3, qa: np.ndarray) -> CurveVectors:
     """Curve vectors from the quarter areas qa of K."""
-    if n_curve < 64 or n_curve % 2:
-        raise ValueError("n_curve must be an even integer >= 64")
     A, B, C = _axis_points(K)
     # d, e in the x=0 plane, f, g in y=0, h, i in z=0
     body = {k: 2.0 * qa[n] * np.eye(3)[n // 2] for n, k in enumerate("defghi")}
@@ -150,9 +149,7 @@ def _curve_vectors(K: ConvexBody3, qa: np.ndarray, n_curve: int) -> CurveVectors
         "h": (A, B),
         "i": (B, -A),
     }
-    dual = {
-        k + "_p": _dual_curve_vector(K, P, Q, n_curve) for k, (P, Q) in segs.items()
-    }
+    dual = {k + "_p": _dual_curve_vector(K, P, Q, _N_CURVE) for k, (P, Q) in segs.items()}
     return CurveVectors(**body, **dual)
 
 
@@ -165,7 +162,7 @@ _PIECE_CURVES = (
 )
 
 
-def test_points(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512):
+def test_points(K: ConvexBody3, grid: SphereGrid):
     """The four points S_i in K and four points R_i in the polar.
 
     Each is a signed combination of three curve vectors divided by six
@@ -173,10 +170,10 @@ def test_points(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512):
     and polar pieces); membership (gauge <= 1 + 1e-6) follows from the
     cone-volume comparison and doubles as a consistency check of the
     quadrature, so a violation raises."""
-    cv = curve_vectors(K, n_curve)
+    cv = curve_vectors(K)
     piece = octant_volumes(K, grid)[:4]
-    piece_p = polar_piece_volumes(K, grid)[:4]
-    return _test_points(K, polar(K), cv, piece, piece_p)
+    Kp = polar(K)
+    return _test_points(K, Kp, cv, piece, _polar_pieces(Kp, grid)[:4])
 
 
 def _test_points(K, Kp, cv: CurveVectors, piece, piece_p):
@@ -225,7 +222,7 @@ class ChainReport:
     chain_ok: bool
 
 
-def verify_chain(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512) -> ChainReport:
+def verify_chain(K: ConvexBody3, grid: SphereGrid) -> ChainReport:
     """Evaluate the whole product estimate on one body.
 
     The chain: each pairing R_i . S_i <= 1; summing the pairings under the
@@ -234,9 +231,9 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512) -> ChainR
     factors are polar to each other; hence the product is >= 32/3.  When
     the condition residual is large the report is marked not applicable but
     the pairings and planar products are still evaluated (they hold
-    unconditionally).  Each measure of K and of its polar is computed once:
-    the octant volumes feed the residual and the R_i, the quarter areas the
-    residual and the body-side curve vectors."""
+    unconditionally).  The polar is built once and each measure of K and of
+    its polar is computed once: the octant volumes feed the residual and the
+    R_i, the quarter areas the residual and the body-side curve vectors."""
     vol = volume(K, grid)
     Kp = polar(K)
     vol_p = volume(Kp, grid)
@@ -246,9 +243,9 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid, n_curve: int = 512) -> ChainR
     _, r23 = _condition_residuals(ov, qa)
     resid = float(np.max(np.abs(r23))) / vol
     applicable = resid < 1e-4
-    cv = _curve_vectors(K, qa, n_curve)
+    cv = _curve_vectors(K, qa)
     piece = ov[:4]
-    piece_p = polar_piece_volumes(K, grid)[:4]
+    piece_p = _polar_pieces(Kp, grid)[:4]
     S, R = _test_points(K, Kp, cv, piece, piece_p)
     pairings = np.einsum("ij,ij->i", R, S)
     Q, _ = plane_measures(K, grid)

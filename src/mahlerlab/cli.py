@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -129,6 +130,11 @@ def emit_report(report, format: str, path: str) -> None:
 # subcommands
 
 
+def _fields(rep, *skip):
+    """A result record as a report dict, without the fields named in skip."""
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name not in skip}
+
+
 def _need3(K) -> ConvexBody3:
     if not isinstance(K, ConvexBody3):
         raise InvalidBody("this command needs a 3D body")
@@ -179,26 +185,8 @@ def _cmd_normalize(K, grid, args):
 
 def _cmd_verify(K, grid, args):
     K = _need3(K)
-    rep = verify_chain(K, grid, args.curve)
-    out = {
-        "piece_volumes": rep.piece_volumes,
-        "polar_pieces": rep.polar_pieces,
-        "s_points": rep.s_points,
-        "r_points": rep.r_points,
-        "pairings": rep.pairings,
-        "section_areas": rep.section_areas,
-        "projection_areas": rep.projection_areas,
-        "planar_products": rep.planar_products,
-        "sum_products": rep.sum_products,
-        "nine_quarter": rep.nine_quarter,
-        "volume": rep.volume,
-        "polar_volume": rep.polar_volume,
-        "product": rep.product,
-        "slack": rep.slack,
-        "condition_residual": rep.condition_residual,
-        "applicable": rep.applicable,
-        "chain_ok": rep.chain_ok,
-    }
+    rep = verify_chain(K, grid)
+    out = _fields(rep, "pairings_ok", "planar_ok")
     print(f"product       {rep.product!r}")
     print(f"slack         {rep.slack!r}")
     print(f"pairings      {rep.pairings}")
@@ -218,6 +206,8 @@ def _cmd_winding(K, grid, args):
 def _cmd_sweep(K, grid, args):
     K = _need3(K)
     n = args.n
+    if n < 1:
+        raise ParseError(f"--n must be at least 1, got {n}")
     svals = np.linspace(0.0, 1.0, n)
     avals = np.linspace(0.0, np.pi, n)
     rows = []
@@ -236,17 +226,7 @@ def _cmd_verify2(K, grid, args):
         raise InvalidBody("verify2 needs a 2D body file (dim: 2)")
     M, P = normalize2(K)
     rep = verify2d(P)
-    out = {
-        "map": M.tolist(),
-        "b": rep.b,
-        "c": rep.c,
-        "piece_areas": list(rep.piece_areas),
-        "pairings": list(rep.pairings),
-        "area": rep.area,
-        "polar_area": rep.polar_area,
-        "product": rep.product,
-        "bound_ok": rep.bound_ok,
-    }
+    out = {"map": M.tolist(), **_fields(rep, "s_points", "r_points")}
     print(f"product       {rep.product!r}")
     print(f"pairings      {rep.pairings}")
     return out, "json", EXIT_OK if rep.bound_ok else EXIT_BOUND
@@ -279,7 +259,6 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog=f"mahlerlab {command}", add_help=True)
     ap.add_argument("--body", required=True, help="body descriptor JSON file")
     ap.add_argument("--grid", default="128x256", help="sphere grid, NxM")
-    ap.add_argument("--curve", type=int, default=512, help="curve samples")
     ap.add_argument("--out", default=None, help="report output path")
     ap.add_argument("--n", type=int, default=9, help="sweep grid side")
     return ap

@@ -94,15 +94,18 @@ def volume(K: ConvexBody3, grid: SphereGrid) -> float:
     return float(np.sum(grid.weights * rho**3) / 3.0)
 
 
-def _octant_halfspace_volume(K: SymmetricPolytope, signs) -> float:
+def _cut_volume(K: SymmetricPolytope, normals: np.ndarray, u: np.ndarray) -> float:
+    """Exact |K ∩ {n.x <= 0 for each row n of normals}|; u points into the cut."""
     half = np.hstack([K.facets, -np.ones((len(K.facets), 1))])
-    extra = np.zeros((3, 4))
-    for k, s in enumerate(signs):
-        extra[k, k] = -s
-    u = np.array(signs, dtype=float) / math.sqrt(3.0)
+    extra = np.hstack([normals, np.zeros((len(normals), 1))])
     interior = u * (0.5 / K.gauge(u))
     hs = HalfspaceIntersection(np.vstack([half, extra]), interior)
     return float(ConvexHull(hs.intersections).volume)
+
+
+def _octant_halfspace_volume(K: SymmetricPolytope, signs) -> float:
+    u = np.array(signs, dtype=float) / math.sqrt(3.0)
+    return _cut_volume(K, np.diag(-np.array(signs, dtype=float)), u)
 
 
 def octant_volumes(K: ConvexBody3, grid: SphereGrid):
@@ -122,15 +125,10 @@ def wedge_volume(K: SymmetricPolytope, b0: float, b1: float) -> float:
     second spherical coordinate; requires 0 <= b1 - b0 <= pi."""
     if b1 - b0 < 1e-9:
         return 0.0
-    half = np.hstack([K.facets, -np.ones((len(K.facets), 1))])
     n0 = np.array([0.0, -math.sin(b0), math.cos(b0)])  # beta >= b0
     n1 = np.array([0.0, -math.sin(b1), math.cos(b1)])  # beta <= b1
-    extra = np.array([[*(-n0), 0.0], [*n1, 0.0]])
     m = 0.5 * (b0 + b1)
-    u = np.array([0.0, math.cos(m), math.sin(m)])
-    interior = u * (0.5 / K.gauge(u))
-    hs = HalfspaceIntersection(np.vstack([half, extra]), interior)
-    return float(ConvexHull(hs.intersections).volume)
+    return _cut_volume(K, np.array([-n0, n1]), np.array([0.0, math.cos(m), math.sin(m)]))
 
 
 def _classify_octants(x: np.ndarray):
@@ -150,8 +148,12 @@ def _classify_octants(x: np.ndarray):
 
 def polar_piece_volumes(K: ConvexBody3, grid: SphereGrid):
     """|K°_i|: pieces of the polar classified by where Lambda maps back on ∂K."""
-    Kp = polar(K)
-    if isinstance(K, SymmetricPolytope):
+    return _polar_pieces(polar(K), grid)
+
+
+def _polar_pieces(Kp: ConvexBody3, grid: SphereGrid):
+    """The polar piece volumes from Kp = polar(K) alone."""
+    if isinstance(Kp, SymmetricPolytope):
         hull = ConvexHull(Kp.vertices)
         eq = hull.equations
         duals = eq[:, :3] / (-eq[:, 3][:, None])  # vertices of K, one per simplex
@@ -188,13 +190,11 @@ _PLANE_COORDS = {1: (1, 2), 2: (2, 0), 3: (0, 1)}
 def circle_dirs(plane: int, t):
     """Unit directions in central plane `plane` at in-plane angle t."""
     t = np.asarray(t, dtype=float)
-    z = np.zeros_like(t)
-    c, s = np.cos(t), np.sin(t)
-    if plane == 1:
-        return np.stack([z, c, s], axis=-1)
-    if plane == 2:
-        return np.stack([s, z, c], axis=-1)
-    return np.stack([c, s, z], axis=-1)
+    j, k = _PLANE_COORDS[plane]
+    out = np.zeros(t.shape + (3,))
+    out[..., j] = np.cos(t)
+    out[..., k] = np.sin(t)
+    return out
 
 
 def section_polygon(K: SymmetricPolytope, plane: int) -> np.ndarray:

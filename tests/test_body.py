@@ -15,6 +15,7 @@ from mahlerlab.body import (
     LpBall,
     RadialField,
     SymmetricPolytope,
+    TransformedBody,
     apply_linear,
     ball,
     boundary_map,
@@ -63,6 +64,19 @@ class TestConstruction:
     def test_bad_exponent_rejected(self):
         with pytest.raises(errors.BadParameter):
             LpBall(1.0)
+
+    def test_bodies_and_maps_are_immutable(self):
+        A = LinearMap3(np.diag([1.0, 2.0, 0.5]))
+        for obj, attr in (
+            (cube(), "vertices"),
+            (ball(), "p"),
+            (Ellipsoid.from_axes(1.0, 2.0, 0.5), "M"),
+            (RadialField(np.ones((9, 8))), "values"),
+            (TransformedBody(ball(), A), "base"),
+            (A, "matrix"),
+        ):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, None)
 
     def test_facets_consistent(self):
         rng = np.random.default_rng(3)

@@ -10,7 +10,7 @@ from conftest import (
     random_symmetric_polytope,
     sheared_cube,
 )
-from mahlerlab import bound3d, errors, normalize
+from mahlerlab import bound3d, errors, normalize, quadrature
 from mahlerlab.body import (
     LinearMap3,
     LpBall,
@@ -172,10 +172,10 @@ class TestVerifyChain:
             assert d < 1e-9 * np.abs(shadow.vertices).max()
 
     def test_measures_computed_once(self, grid, monkeypatch):
-        # every binding the chain could reach, in bound3d and in normalize
+        # every binding the chain could reach, in bound3d, normalize and quadrature
         calls = {}
-        for module in (bound3d, normalize):
-            for name in ("octant_volumes", "polar_piece_volumes", "quarter_areas", "polar"):
+        for module in (bound3d, normalize, quadrature):
+            for name in ("octant_volumes", "_polar_pieces", "quarter_areas", "polar"):
                 if hasattr(module, name):
                     fn = getattr(module, name)
 
@@ -187,9 +187,9 @@ class TestVerifyChain:
         rep = verify_chain(sheared_cube(np.random.default_rng(111)), grid)
         assert rep.chain_ok
         assert calls["octant_volumes"] == 1
-        assert calls["polar_piece_volumes"] == 1
+        assert calls["_polar_pieces"] == 1
         assert calls["quarter_areas"] == 1
-        assert calls.get("polar", 0) <= 1
+        assert calls["polar"] == 1
 
 
 class TestCone:

@@ -63,10 +63,15 @@ class TestExitCodes:
         p = square_file(tmp_path)
         assert cli.run(["verify", "--body", p, "--grid", "32x64"]) == cli.EXIT_INVALID
 
-    @pytest.mark.parametrize("option", [["--threads", "2"], ["--seed", "1"]])
+    @pytest.mark.parametrize("option", [["--threads", "2"], ["--seed", "1"], ["--curve", "512"]])
     def test_removed_options(self, tmp_path, option):
         p = cube_file(tmp_path)
         assert cli.run(["vp", "--body", p, "--grid", "32x64", *option]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_sweep_side_below_one(self, tmp_path, n):
+        p = cube_file(tmp_path)
+        assert cli.run(["sweep", "--body", p, "--grid", "16x32", "--n", n]) == cli.EXIT_PARSE
 
     def test_ok(self, tmp_path):
         assert cli.run(["vp", "--body", cube_file(tmp_path), "--grid", "32x64"]) == cli.EXIT_OK
@@ -182,6 +187,9 @@ class TestVerify2:
         out = tmp_path / "v2.json"
         cli.run(["verify2", "--body", square_file(tmp_path), "--out", str(out)])
         rep = json.loads(out.read_text())
+        assert set(rep) == {
+            "map", "b", "c", "piece_areas", "pairings", "area", "polar_area", "product", "bound_ok",
+        }
         assert rep["bound_ok"] is True
         assert rep["product"] == pytest.approx(8.0, abs=1e-12)
 
@@ -194,5 +202,31 @@ class TestVerify:
         )
         assert code == cli.EXIT_OK
         rep = json.loads(out.read_text())
+        assert set(rep) == {
+            "piece_volumes", "polar_pieces", "s_points", "r_points", "pairings",
+            "section_areas", "projection_areas", "planar_products", "sum_products",
+            "nine_quarter", "volume", "polar_volume", "product", "slack",
+            "condition_residual", "applicable", "chain_ok",
+        }
         assert rep["chain_ok"] is True
         assert rep["product"] == pytest.approx(32.0 / 3.0, abs=1e-9)
+
+
+class TestNormalize:
+    def test_cube_report(self, tmp_path):
+        out = tmp_path / "norm.json"
+        code = cli.run(["normalize", "--body", cube_file(tmp_path), "--grid", "32x64", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        rep = json.loads(out.read_text())
+        assert set(rep) == {"angles", "shear", "residual23", "fgh_norm", "volume"}
+
+
+class TestSweep:
+    def test_lp_ball_rows(self, tmp_path):
+        p = write_body(tmp_path / "lp.json", {"type": "lp", "p": 3.0, "axes": [1.0, 0.8, 1.2]})
+        out = tmp_path / "sweep.csv"
+        code = cli.run(["sweep", "--body", p, "--grid", "16x32", "--n", "2", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0] == "s,phi,psi,F,G,H"
+        assert len(lines) == 1 + 8
