@@ -25,7 +25,7 @@ from .bound2d import Polygon2, normalize2
 from .bound2d import polar2 as polar2d
 from .bound2d import verify2 as verify2d
 from .bound3d import LOWER_BOUND, verify_chain
-from .errors import InvalidBody, IoError, MahlerLabError, ParseError
+from .errors import BadGridSize, InvalidBody, IoError, MahlerLabError, ParseError
 from .normalize import BoxPoint, fgh, find_normalization, winding
 from .quadrature import make_grid, volume
 
@@ -248,11 +248,15 @@ _DISPATCH = {
 
 
 def _parse_grid(text: str):
+    """The sphere grid named by NxM; a malformed or unsupported size is a parse error."""
     try:
-        na, nb = text.lower().split("x")
-        return int(na), int(nb)
+        na, nb = (int(n) for n in text.lower().split("x"))
     except ValueError:
         raise ParseError(f"grid must look like 128x256, got {text!r}") from None
+    try:
+        return make_grid(na, nb)
+    except BadGridSize as e:
+        raise ParseError(f"grid {text!r}: {e}") from None
 
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
@@ -279,8 +283,7 @@ def run(argv) -> int:
         return EXIT_OK if e.code == 0 else EXIT_PARSE
     t0 = time.perf_counter()
     try:
-        na, nb = _parse_grid(args.grid)
-        grid = make_grid(na, nb)
+        grid = _parse_grid(args.grid)
         body = parse_body_file(args.body)
         out, fmt, code = _DISPATCH[command](body, grid, args)
         if args.out is not None:

@@ -7,11 +7,13 @@ makes three of the seven normalization equations hold identically; the
 remaining three are the field (F, G, H) over the rotation box
 D = {(s, phi, psi)} whose zero yields the fully normalized body.
 
-Angle equations are solved through a spectral antiderivative: the
-defining integrands are pi-periodic and smooth for smooth bodies, so we
+For smooth bodies the angle equations are solved through a spectral
+antiderivative: the defining integrands are pi-periodic and smooth, so we
 sample them uniformly, take the Fourier antiderivative, and bisect on
 the resulting monotone function.  This keeps every (F,G,H) evaluation at
-a couple of grid passes.
+a couple of grid passes.  For polytopes Theta is a Brent root of the
+exact wedge volume, and Phi and Psi are closed forms on the section
+polygon.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from . import planar
 from .body import ConvexBody3, LinearMap3, SymmetricPolytope, sphere_point
@@ -106,28 +108,43 @@ def _half_balance(vals: np.ndarray) -> float:
 
 
 def _theta_polytope(K: SymmetricPolytope) -> float:
-    """Exact theta balance for polytopes via halfspace wedge volumes."""
-    upper = wedge_volume(K, 0.0, PI)
-    return planar.bisect(
-        lambda b: wedge_volume(K, 0.0, b) < 0.5 * upper, 1e-5, PI - 1e-5, 60
-    )
+    """Exact theta balance for polytopes: Brent's method on the exact
+    halfspace wedge volume."""
+    half = 0.5 * wedge_volume(K, 0.0, PI)
+    try:
+        # rtol 8.9e-16 is the smallest brentq accepts (4 * machine epsilon)
+        return brentq(
+            lambda b: wedge_volume(K, 0.0, b) - half, 1e-5, PI - 1e-5, xtol=1e-15, rtol=8.9e-16
+        )
+    except (RuntimeError, ValueError) as e:
+        raise NoConvergence(f"theta balance: {e}") from None
 
 
 def _sector_polytope(K: SymmetricPolytope, beta: float) -> float:
     """Exact circle balance for polytopes: the in-plane angle splitting the
     upper half of the central section (plane through the x-axis at angle
-    beta) into equal areas, by clipped-polygon bisection."""
+    beta) into equal areas, in closed form.
+
+    The upper half is fanned from the origin in angular order; the split
+    point lies on the outer edge of the triangle holding half the area, at
+    the linear fraction of that triangle's area still to cover."""
     w = np.array([0.0, math.cos(beta), math.sin(beta)])
     normals = np.column_stack([K.facets[:, 0], K.facets @ w])
     poly = planar.halfspaces_to_polygon(normals)
     upper = planar.clip_halfplane(poly, (0.0, -1.0), 0.0)
     target = 0.5 * planar.shoelace(upper)
-
-    def sector(phi):
-        cut = planar.clip_halfplane(upper, (-math.sin(phi), math.cos(phi)), 0.0)
-        return planar.shoelace(cut)
-
-    return planar.bisect(lambda phi: sector(phi) < target, 1e-5, PI - 1e-5, 60)
+    # the x-axis crossings may carry y = -0.0 or -1e-16 from round-off, which
+    # would give the -x crossing the angle -pi and start the fan there
+    upper[:, 1] = np.where(upper[:, 1] > 0.0, upper[:, 1], 0.0)
+    fan = upper[np.argsort(np.arctan2(upper[:, 1], upper[:, 0]))]
+    p, q = fan[:-1], fan[1:]
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))])
+    # the first triangle whose end reaches the target; cum[k] < target there,
+    # so the zero-area triangle between duplicate vertices is never picked
+    k = int(np.argmax(cum[1:] >= target))
+    t = (target - cum[k]) / (cum[k + 1] - cum[k])
+    x, y = p[k] + t * (q[k] - p[k])
+    return min(max(math.atan2(y, x), 1e-5), PI - 1e-5)
 
 
 def _theta_only(K: ConvexBody3, grid: SphereGrid) -> float:

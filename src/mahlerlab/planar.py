@@ -1,5 +1,6 @@
 """Small exact 2D kernel: shoelace areas, halfplane clipping, hull duality,
-and the bisection shared by every monotone balance equation."""
+and a fixed-step bisection for monotone switch points (the smooth balance
+angle, the T map and the planar normalization use it)."""
 
 from __future__ import annotations
 

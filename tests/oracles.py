@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: volumes by
 Monte Carlo, gauges through support-function duality, areas by rational
 shoelace, balance equations by brute-force cumulative sums, ball cone
-volumes by spherical excess.
+volumes by spherical excess.  The polytope balance angles are checked
+against 60-step bisections of the same exact measures, in place of the
+library's root and closed-form solves.
 """
 
 from __future__ import annotations
@@ -89,6 +91,35 @@ def brute_circle_angle(K, beta, n=200_000):
     rho = K.radial_many(sphere_point(a, np.full(n, beta)))
     C = np.cumsum(rho**2)
     return float(np.interp(C[-1] / 2.0, C, a))
+
+
+def bisect_theta_polytope(K):
+    """Theta of a polytope by 60 halvings on the exact wedge volume."""
+    from mahlerlab import planar
+    from mahlerlab.quadrature import wedge_volume
+
+    upper = wedge_volume(K, 0.0, math.pi)
+    return planar.bisect(
+        lambda b: wedge_volume(K, 0.0, b) < 0.5 * upper, 1e-5, math.pi - 1e-5, 60
+    )
+
+
+def bisect_sector_polytope(K, beta):
+    """Half-area angle of the upper central section at beta by 60 halvings
+    on clipped-polygon areas."""
+    from mahlerlab import planar
+
+    w = np.array([0.0, math.cos(beta), math.sin(beta)])
+    normals = np.column_stack([K.facets[:, 0], K.facets @ w])
+    poly = planar.halfspaces_to_polygon(normals)
+    upper = planar.clip_halfplane(poly, (0.0, -1.0), 0.0)
+    target = 0.5 * planar.shoelace(upper)
+
+    def sector(phi):
+        cut = planar.clip_halfplane(upper, (-math.sin(phi), math.cos(phi)), 0.0)
+        return planar.shoelace(cut)
+
+    return planar.bisect(lambda phi: sector(phi) < target, 1e-5, math.pi - 1e-5, 60)
 
 
 def solid_angle(a, b, c):

@@ -52,7 +52,9 @@ class TestExitCodes:
 
     def test_bad_grid(self, tmp_path):
         p = cube_file(tmp_path)
-        assert cli.run(["vp", "--body", p, "--grid", "tiny"]) == cli.EXIT_PARSE
+        # malformed, then well formed but outside what make_grid supports
+        for size in ("tiny", "7x16", "8x18"):
+            assert cli.run(["vp", "--body", p, "--grid", size]) == cli.EXIT_PARSE
 
     def test_unwritable_output(self, tmp_path):
         p = cube_file(tmp_path)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_smooth_body, sheared_cube
-from mahlerlab import errors, normalize
-from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, cube
+from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
+from mahlerlab import errors, normalize, planar
+from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, cross_polytope, cube
 from mahlerlab.normalize import (
     BalanceAngles,
     BoxPoint,
@@ -89,6 +89,55 @@ class TestBalanceAngles:
         K = random_smooth_body(np.random.default_rng(68))
         _, C = oracles.cumulative_theta(K, n_beta=32)
         assert np.all(np.diff(C) > 0)
+
+
+POLYTOPES = {
+    "cube": cube,
+    "cross": cross_polytope,  # vertices on the x-axis
+    "sheared3": lambda: sheared_cube(np.random.default_rng(3)),
+    "sheared4": lambda: sheared_cube(np.random.default_rng(4)),
+    "random1": lambda: random_symmetric_polytope(np.random.default_rng(1), 12),
+    "random2": lambda: random_symmetric_polytope(np.random.default_rng(2), 7),
+}
+# (phi, psi) of rotate(K, 0, phi, psi); random1 at (pi, 0) puts a y of
+# -1.1e-16 on an x-axis crossing of its beta=0 section
+ROTATIONS = ((0.0, 0.0), (PI / 2, 0.0), (0.0, PI / 2), (PI, 0.0), (1.0, 2.0))
+
+
+class TestPolytopeSolvers:
+    @pytest.mark.parametrize("name", sorted(POLYTOPES))
+    def test_match_bisection_oracles(self, grid, name):
+        for phi, psi in ROTATIONS:
+            K = rotate(POLYTOPES[name](), 0.0, phi, psi)
+            ang = balance_angles(K, grid)
+            theta = oracles.bisect_theta_polytope(K)
+            assert abs(ang.theta_cap - theta) <= 1e-12
+            assert abs(ang.phi_cap - oracles.bisect_sector_polytope(K, 0.0)) <= 1e-12
+            assert abs(ang.psi_cap - oracles.bisect_sector_polytope(K, theta)) <= 1e-12
+
+    def test_solver_call_counts(self, monkeypatch):
+        calls = {}
+        for module, name in ((normalize, "wedge_volume"), (planar, "clip_halfplane")):
+            fn = getattr(module, name)
+
+            def counted(*a, _fn=fn, _name=name, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*a, **kw)
+
+            monkeypatch.setattr(module, name, counted)
+        for name in sorted(POLYTOPES):
+            K = rotate(POLYTOPES[name](), 0.0, 1.0, 2.0)
+            calls.clear()
+            normalize._theta_polytope(K)
+            assert calls["wedge_volume"] <= 16
+            calls.clear()
+            normalize._sector_polytope(K, 0.7)
+            assert calls == {"clip_halfplane": 1}
+
+    def test_theta_without_sign_change_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(normalize, "wedge_volume", lambda K, b0, b1: 1.0)
+        with pytest.raises(errors.NoConvergence):
+            normalize._theta_polytope(cube())
 
 
 class TestShear:
