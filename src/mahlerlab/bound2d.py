@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, DegenerateBody, NotNormalized, NotSymmetric
-from .planar import bisect, clip_halfplane, clip_quadrant, dual_vertex2, shoelace
+from .planar import brent_root, clip_halfplane, clip_quadrant, dual_vertex2, shoelace
 
 __all__ = [
     "Polygon2",
@@ -106,19 +106,15 @@ def normalize2(P: Polygon2):
     """Balance the quadrant areas by a rotation, then scale the axes.
 
     Returns (map, P') with P' = map applied to P, |K_1(P')| = |K_2(P')|
-    (bisection over a quarter turn; the gap changes sign because a quarter
-    turn swaps the two quadrant areas), and (1,0), (0,1) on the boundary
-    of P' after diagonal scaling.
+    (a Brent root of the quadrant gap over a quarter turn, which brackets it
+    because a quarter turn swaps the two quadrant areas), and (1,0), (0,1)
+    on the boundary of P' after diagonal scaling.
     """
-    g0 = _quadrant_gap(P)
-    if abs(g0) <= 1e-15 * P.area():
+    if abs(_quadrant_gap(P)) <= 1e-15 * P.area():
         t = 0.0
     else:
-        t = bisect(
-            lambda a: (_quadrant_gap(P.transformed(_rot2(a))) < 0) == (g0 < 0),
-            0.0,
-            0.5 * math.pi,
-            80,
+        t = brent_root(
+            lambda a: _quadrant_gap(P.transformed(_rot2(a))), 0.0, 0.5 * math.pi, "planar balance"
         )
     R = _rot2(t)
     Q = P.transformed(R)

@@ -9,21 +9,24 @@ D = {(s, phi, psi)} whose zero yields the fully normalized body.
 
 For smooth bodies the angle equations are solved through a spectral
 antiderivative: the defining integrands are pi-periodic and smooth, so we
-sample them uniformly, take the Fourier antiderivative, and bisect on
-the resulting monotone function.  This keeps every (F,G,H) evaluation at
-a couple of grid passes.  For polytopes Theta is a Brent root of the
+sample them uniformly, take the Fourier antiderivative, and run safeguarded
+Newton steps on the resulting monotone function, whose derivative is the
+spectral interpolant of the samples.  This keeps every (F,G,H) evaluation
+at a couple of grid passes.  For polytopes Theta is a Brent root of the
 exact wedge volume, and Phi and Psi are closed forms on the section
 polygon.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
+from scipy.spatial import ConvexHull
 
 from . import planar
 from .body import ConvexBody3, LinearMap3, SymmetricPolytope, sphere_point
@@ -77,30 +80,39 @@ class WindingTrace:
 # spectral half-balance solver
 
 
-def _periodic_cumulative(vals: np.ndarray):
-    """Antiderivative C(t) = int_0^t g for g sampled uniformly over [0, pi)."""
-    n = len(vals)
-    c = np.fft.rfft(vals) / n
-    w = 2.0  # angular frequency of the period pi
-    k = np.arange(1, len(c))
-    fac = np.full(len(c) - 1, 2.0)
-    if n % 2 == 0:
-        fac[-1] = 1.0
-
-    def C(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        phase = np.exp(1j * t[:, None] * (k * w)[None, :])
-        terms = ((phase - 1.0) / (1j * k * w)) * c[1:]
-        return c[0].real * t + terms.real @ fac
-
-    return C
-
-
 def _half_balance(vals: np.ndarray) -> float:
-    """Solve C(x) = C(pi)/2 for the monotone antiderivative by bisection."""
-    C = _periodic_cumulative(vals)
-    target = C(PI)[0] / 2.0
-    return planar.bisect(lambda t: C(t)[0] < target, 0.0, PI, 64)
+    """Solve C(t) = C(pi)/2 for the increasing antiderivative
+    C(t) = int_0^t g of g sampled uniformly over [0, pi).
+
+    A trapezoid cumulative sum of the samples brackets the root within a few
+    grid cells.  Newton steps then take C and its exact derivative, the
+    spectral interpolant of g, from one phase row each; a step that would
+    leave the bracket bisects it instead.  The solve ends at a step of at
+    most 1e-15 or at a residual within the round-off of C, below which a
+    small g can bounce the steps between neighbouring doubles."""
+    n = len(vals)
+    h = PI / n
+    c = np.fft.rfft(vals) / n
+    kw = 2.0 * np.arange(1, len(c))  # angular frequencies of the period pi
+    coef = np.where(kw == n, 1.0, 2.0) * c[1:]  # an even n's Nyquist term once
+    c0 = c[0].real
+    target = 0.5 * PI * c0  # the phase terms of C(pi) vanish
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals + np.roll(vals, -1)))])
+    # the trapezoid root lies in cell j - 1; its O(h^2) error is far below
+    # the two cells kept on either side
+    j = int(np.searchsorted(cum, target))
+    lo, hi = h * max(j - 3, 0), h * min(j + 2, n)
+    t = float(np.interp(target, cum, h * np.arange(n + 1)))
+    for _ in range(8):
+        phase = np.exp(1j * t * kw)
+        C = c0 * t + float(np.sum(((phase - 1.0) / (1j * kw) * coef).real))
+        lo, hi = (t, hi) if C < target else (lo, t)
+        nxt = t - (C - target) / (c0 + float(np.sum((phase * coef).real)))
+        nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
+        if abs(nxt - t) <= 1e-15 or abs(C - target) <= 8 * np.finfo(float).eps * target:
+            return float(nxt)
+        t = nxt
+    raise NoConvergence("half balance: no Newton convergence in 8 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +121,12 @@ def _half_balance(vals: np.ndarray) -> float:
 
 def _theta_polytope(K: SymmetricPolytope) -> float:
     """Exact theta balance for polytopes: Brent's method on the exact
-    halfspace wedge volume."""
-    half = 0.5 * wedge_volume(K, 0.0, PI)
-    try:
-        # rtol 8.9e-16 is the smallest brentq accepts (4 * machine epsilon)
-        return brentq(
-            lambda b: wedge_volume(K, 0.0, b) - half, 1e-5, PI - 1e-5, xtol=1e-15, rtol=8.9e-16
-        )
-    except (RuntimeError, ValueError) as e:
-        raise NoConvergence(f"theta balance: {e}") from None
+    halfspace wedge volume.  The wedge over [0, pi] is half of K by central
+    symmetry, so the target is a quarter of the exact hull volume."""
+    quarter = 0.25 * ConvexHull(K.vertices).volume
+    return planar.brent_root(
+        lambda b: wedge_volume(K, 0.0, b) - quarter, 1e-5, PI - 1e-5, "theta balance"
+    )
 
 
 def _sector_polytope(K: SymmetricPolytope, beta: float) -> float:
@@ -182,38 +191,23 @@ def balance_residuals(K: ConvexBody3, ang: BalanceAngles):
     """
     x, w = np.polynomial.legendre.leggauss(200)
 
-    def seg(f, a, b):
-        t = 0.5 * (b - a) * x + 0.5 * (a + b)
-        return 0.5 * (b - a) * np.sum(w * f(t))
+    def seg(f, a, b, rule=(x, w)):
+        t = 0.5 * (b - a) * rule[0] + 0.5 * (a + b)
+        return 0.5 * (b - a) * np.sum(rule[1] * f(t))
 
-    def J(beta_arr):
-        out = np.empty(len(beta_arr))
-        for idx, b in enumerate(beta_arr):
-            out[idx] = seg(
-                lambda a: K.radial_many(sphere_point(a, np.full_like(a, b))) ** 3
-                * np.sin(a),
-                0.0,
-                PI,
-            )
-        return out
+    def split(f, cut, rule=(x, w)):
+        return seg(f, 0.0, cut, rule) - seg(f, cut, PI, rule)
 
-    def i_theta():
-        xx, ww = GL64
+    def profile(beta, power):
+        return lambda a: K.radial_many(sphere_point(a, np.full_like(a, beta))) ** power
 
-        def half(a, b):
-            t = 0.5 * (b - a) * xx + 0.5 * (a + b)
-            return 0.5 * (b - a) * np.sum(ww * J(t))
-
-        return half(0.0, ang.theta_cap) - half(ang.theta_cap, PI)
-
-    def circle(beta, cut):
-        f = lambda a: K.radial_many(sphere_point(a, np.full_like(a, beta))) ** 2
-        return seg(f, 0.0, cut) - seg(f, cut, PI)
+    def J(betas):
+        return np.array([seg(lambda a: profile(b, 3)(a) * np.sin(a), 0.0, PI) for b in betas])
 
     return (
-        i_theta(),
-        circle(0.0, ang.phi_cap),
-        circle(ang.theta_cap, ang.psi_cap),
+        split(J, ang.theta_cap, GL64),
+        split(profile(0.0, 2), ang.phi_cap),
+        split(profile(ang.theta_cap, 2), ang.psi_cap),
     )
 
 
@@ -299,14 +293,20 @@ def gamma_map(K: ConvexBody3, psi: float, theta: float, grid: SphereGrid) -> flo
 
 
 def t_map(K: ConvexBody3, s: float, psi: float, grid: SphereGrid) -> float:
-    """The face-matching map T_psi(s) (decreasing, T(0)=1, T(1)=0)."""
+    """The face-matching map T_psi(s) (decreasing, T(0)=1, T(1)=0): the
+    Brent root of Gamma_psi(theta) = pi - Theta_0 s over the box height
+    pi - Theta_0, as a fraction of that height."""
     th0 = _theta_cap0(K, 0.0, psi, grid)
     height = PI - th0
     target = PI - th0 * s
-    theta = planar.bisect(
-        lambda t: gamma_map(K, psi, t, grid) < target, 0.0, height, 48
-    )
-    return theta / height
+    f = functools.cache(lambda t: gamma_map(K, psi, t, grid) - target)
+    # Gamma(0) = pi - Theta_0 exactly, so s = 1 gives f(0) = 0, and brentq
+    # returns that end.  Gamma(height) = pi holds only to quadrature accuracy,
+    # so near s = 0 the target (at most pi) can pass the top end: it maps to
+    # that end, as under bisection.  A target below Gamma(0) stays an error.
+    if f(height) < 0.0:
+        return 1.0
+    return planar.brent_root(f, 0.0, height, "T map") / height
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,25 @@
 """Small exact 2D kernel: shoelace areas, halfplane clipping, hull duality,
-and a fixed-step bisection for monotone switch points (the smooth balance
-angle, the T map and the planar normalization use it)."""
+and the Brent root solve shared by the angle and rotation solvers."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.spatial import ConvexHull
 
-from .errors import CollinearPoints
+from .errors import CollinearPoints, NoConvergence
 
 
-def bisect(pred, lo: float, hi: float, steps: int) -> float:
-    """Final midpoint of `steps` halvings of [lo, hi].
+def brent_root(f, lo: float, hi: float, what: str) -> float:
+    """Root of f on [lo, hi] by Brent's method to full double precision.
 
-    Each step moves lo to the midpoint where pred(mid) holds and hi
-    otherwise, so a pred that is true below a switch point and false above
-    brackets that point to a width of (hi - lo) / 2**steps.
-    """
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    A bracket without a sign change, or no convergence, raises NoConvergence
+    naming `what`."""
+    try:
+        # rtol 8.9e-16 is the smallest brentq accepts (4 * machine epsilon)
+        return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    except (RuntimeError, ValueError) as e:
+        raise NoConvergence(f"{what}: {e}") from None
 
 
 def shoelace(poly: np.ndarray) -> float:

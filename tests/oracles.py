@@ -3,9 +3,11 @@
 Everything here deliberately avoids the code paths under test: volumes by
 Monte Carlo, gauges through support-function duality, areas by rational
 shoelace, balance equations by brute-force cumulative sums, ball cone
-volumes by spherical excess.  The polytope balance angles are checked
-against 60-step bisections of the same exact measures, in place of the
-library's root and closed-form solves.
+volumes by spherical excess.  The library's root, Newton and closed-form
+solves are checked against fixed-step bisections of the same functions:
+60 steps on the polytope balance measures, 64 on the spectral
+antiderivative of the smooth ones, 48 on the Gamma map of the T map and
+80 on the quadrant gap of the planar normalization.
 """
 
 from __future__ import annotations
@@ -93,15 +95,28 @@ def brute_circle_angle(K, beta, n=200_000):
     return float(np.interp(C[-1] / 2.0, C, a))
 
 
+def bisect(pred, lo, hi, steps):
+    """Final midpoint of `steps` halvings of [lo, hi].
+
+    Each step moves lo to the midpoint where pred(mid) holds and hi
+    otherwise, so a pred that is true below a switch point and false above
+    brackets that point to a width of (hi - lo) / 2**steps.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def bisect_theta_polytope(K):
     """Theta of a polytope by 60 halvings on the exact wedge volume."""
-    from mahlerlab import planar
     from mahlerlab.quadrature import wedge_volume
 
     upper = wedge_volume(K, 0.0, math.pi)
-    return planar.bisect(
-        lambda b: wedge_volume(K, 0.0, b) < 0.5 * upper, 1e-5, math.pi - 1e-5, 60
-    )
+    return bisect(lambda b: wedge_volume(K, 0.0, b) < 0.5 * upper, 1e-5, math.pi - 1e-5, 60)
 
 
 def bisect_sector_polytope(K, beta):
@@ -119,7 +134,53 @@ def bisect_sector_polytope(K, beta):
         cut = planar.clip_halfplane(upper, (-math.sin(phi), math.cos(phi)), 0.0)
         return planar.shoelace(cut)
 
-    return planar.bisect(lambda phi: sector(phi) < target, 1e-5, math.pi - 1e-5, 60)
+    return bisect(lambda phi: sector(phi) < target, 1e-5, math.pi - 1e-5, 60)
+
+
+def bisect_half_balance(vals):
+    """Half-balance angle of g sampled uniformly over [0, pi) by 64 halvings
+    on its spectral antiderivative C(t) = int_0^t g, against C(pi)/2."""
+    n = len(vals)
+    c = np.fft.rfft(vals) / n
+    w = 2.0  # angular frequency of the period pi
+    k = np.arange(1, len(c))
+    fac = np.full(len(c) - 1, 2.0)
+    if n % 2 == 0:
+        fac[-1] = 1.0
+
+    def C(t):
+        phase = np.exp(1j * t * (k * w))
+        return c[0].real * t + (((phase - 1.0) / (1j * k * w)) * c[1:]).real @ fac
+
+    target = C(math.pi) / 2.0
+    return bisect(lambda t: C(t) < target, 0.0, math.pi, 64)
+
+
+def bisect_t_map(K, s, psi, grid):
+    """T_psi(s) by 48 halvings of the box height on the Gamma map."""
+    from mahlerlab.normalize import _theta_cap0, gamma_map
+
+    th0 = _theta_cap0(K, 0.0, psi, grid)
+    height = math.pi - th0
+    target = math.pi - th0 * s
+    theta = bisect(lambda t: gamma_map(K, psi, t, grid) < target, 0.0, height, 48)
+    return theta / height
+
+
+def bisect_normalize2(P):
+    """Rotation angle of the planar normalization by 80 halvings of a
+    quarter turn on the quadrant gap, whose sign the quarter turn flips."""
+    from mahlerlab.bound2d import _quadrant_gap, _rot2
+
+    g0 = _quadrant_gap(P)
+    if abs(g0) <= 1e-15 * P.area():
+        return 0.0
+    return bisect(
+        lambda a: (_quadrant_gap(P.transformed(_rot2(a))) < 0) == (g0 < 0),
+        0.0,
+        0.5 * math.pi,
+        80,
+    )
 
 
 def solid_angle(a, b, c):

@@ -14,7 +14,8 @@ from mahlerlab.bound2d import (
     polar2,
     verify2,
 )
-from mahlerlab.planar import bisect, clip_quadrant, hull2, shoelace
+from mahlerlab.planar import clip_quadrant, hull2, shoelace
+from oracles import bisect
 
 
 def square2():

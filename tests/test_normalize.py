@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
-from mahlerlab import errors, normalize, planar
+from mahlerlab import bound2d, errors, normalize, planar
+from mahlerlab.bound2d import normalize2
 from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, cross_polytope, cube
 from mahlerlab.normalize import (
     BalanceAngles,
@@ -24,6 +25,7 @@ from mahlerlab.normalize import (
     winding,
 )
 from mahlerlab.quadrature import make_grid, octant_volumes, volume, wedge_volume
+from test_bound2d import random_polygon, regular_gon, square2
 
 PI = math.pi
 
@@ -129,7 +131,7 @@ class TestPolytopeSolvers:
             K = rotate(POLYTOPES[name](), 0.0, 1.0, 2.0)
             calls.clear()
             normalize._theta_polytope(K)
-            assert calls["wedge_volume"] <= 16
+            assert calls["wedge_volume"] <= 15
             calls.clear()
             normalize._sector_polytope(K, 0.7)
             assert calls == {"clip_halfplane": 1}
@@ -138,6 +140,81 @@ class TestPolytopeSolvers:
         monkeypatch.setattr(normalize, "wedge_volume", lambda K, b0, b1: 1.0)
         with pytest.raises(errors.NoConvergence):
             normalize._theta_polytope(cube())
+
+
+SMOOTH = {
+    "random1": lambda: random_smooth_body(np.random.default_rng(1)),
+    "random2": lambda: random_smooth_body(np.random.default_rng(2)),
+    "lp": lambda: LpBall(3.5, (1.0, 0.6, 1.4)),
+    "ellipsoid": lambda: Ellipsoid.from_axes(1.0, 0.7, 1.3).transformed(
+        LinearMap3(np.eye(3) + 0.3 * np.random.default_rng(61).standard_normal((3, 3)))
+    ),
+}
+
+
+class TestSmoothSolvers:
+    @pytest.mark.parametrize("name", sorted(SMOOTH))
+    def test_match_bisection_oracles(self, grid, name, monkeypatch):
+        K = SMOOTH[name]()
+        for s in (0.0, 0.25, 0.6, 1.0):
+            for psi in (0.8, 2.3):
+                want = oracles.bisect_t_map(K, s, psi, grid)
+                assert abs(t_map(K, s, psi, grid) - want) <= 1e-12
+        bodies = [rotate(K, 0.0, phi, psi) for phi, psi in ROTATIONS]
+        got = [balance_angles(L, grid) for L in bodies]
+        # the oracle angles: the same samples, solved by spectral bisection
+        monkeypatch.setattr(normalize, "_half_balance", oracles.bisect_half_balance)
+        for L, ang in zip(bodies, got):
+            want = balance_angles(L, grid)
+            assert abs(ang.theta_cap - want.theta_cap) <= 1e-12
+            assert abs(ang.phi_cap - want.phi_cap) <= 1e-12
+            assert abs(ang.psi_cap - want.psi_cap) <= 1e-12
+
+    def test_normalize2_matches_bisection_oracle(self):
+        polygons = [square2(), regular_gon(6)]
+        polygons += [random_polygon(np.random.default_rng(seed)) for seed in range(5)]
+        for P in polygons:
+            M, _ = normalize2(P)
+            # M is a positive diagonal scaling after the rotation by t
+            t = math.atan2(-M[0, 1], M[0, 0])
+            assert abs(t - oracles.bisect_normalize2(P)) <= 1e-12
+
+    def test_half_balance_phase_rows(self, grid, monkeypatch):
+        samples = []
+        solve = normalize._half_balance
+        monkeypatch.setattr(
+            normalize, "_half_balance", lambda vals: samples.append(vals) or solve(vals)
+        )
+        for name in sorted(SMOOTH):
+            balance_angles(rotate(SMOOTH[name](), 0.0, 1.0, 2.0), grid)
+        monkeypatch.undo()
+        rows = []
+        exp = np.exp
+
+        def counted(*a, **kw):
+            rows.append(1)
+            return exp(*a, **kw)
+
+        monkeypatch.setattr(np, "exp", counted)
+        for vals in samples:
+            rows.clear()
+            solve(vals)
+            assert len(rows) <= 8
+
+    def test_half_balance_nan_is_no_convergence(self):
+        with pytest.raises(errors.NoConvergence):
+            normalize._half_balance(np.full(64, np.nan))
+
+    def test_t_map_without_sign_change_is_no_convergence(self, monkeypatch):
+        # above every target pi - Theta_0 s, so no root in the box height
+        monkeypatch.setattr(normalize, "gamma_map", lambda K, psi, theta, grid: 4.0)
+        with pytest.raises(errors.NoConvergence):
+            t_map(LpBall(3.0, (1.0, 0.7, 1.3)), 0.5, 0.8, make_grid(16, 32))
+
+    def test_normalize2_without_sign_change_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(bound2d, "_quadrant_gap", lambda P: 1.0)
+        with pytest.raises(errors.NoConvergence):
+            normalize2(regular_gon(6))
 
 
 class TestShear:
