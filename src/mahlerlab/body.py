@@ -109,8 +109,6 @@ def _as_map(A) -> LinearMap3:
 class ConvexBody3:
     """Base class; subclasses implement the vectorized evaluators."""
 
-    provenance: str = ""
-
     def __setattr__(self, *a):
         raise AttributeError("bodies are immutable")
 
@@ -174,9 +172,9 @@ class SymmetricPolytope(ConvexBody3):
     tie-breaking in the boundary map is deterministic.
     """
 
-    __slots__ = ("vertices", "facets", "provenance")
+    __slots__ = ("vertices", "facets")
 
-    def __init__(self, vertices, facets=None, provenance="polytope"):
+    def __init__(self, vertices, facets=None):
         verts = np.array(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
             raise DegenerateBody("need a nonempty list of vertices in R^3")
@@ -202,7 +200,6 @@ class SymmetricPolytope(ConvexBody3):
         fac = fac[order]
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "facets", fac)
-        object.__setattr__(self, "provenance", provenance)
 
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -222,25 +219,19 @@ class SymmetricPolytope(ConvexBody3):
         return y / np.max(vals, axis=-1)[..., None] * 1.0  # scale to x.y = 1
 
     def polar_body(self):
-        return SymmetricPolytope(
-            self.facets, facets=self.vertices, provenance=f"polar({self.provenance})"
-        )
+        return SymmetricPolytope(self.facets, facets=self.vertices)
 
     def transformed(self, A):
         A = _as_map(A)
-        return SymmetricPolytope(
-            self.vertices @ A.matrix.T,
-            facets=self.facets @ A.inverse,
-            provenance=f"map({self.provenance})",
-        )
+        return SymmetricPolytope(self.vertices @ A.matrix.T, facets=self.facets @ A.inverse)
 
 
 class LpBall(ConvexBody3):
     """{ sum |x_i / a_i|^p <= 1 } with p in (1, inf)."""
 
-    __slots__ = ("p", "axes", "q", "provenance")
+    __slots__ = ("p", "axes", "q")
 
-    def __init__(self, p, axes=(1.0, 1.0, 1.0), provenance="lp"):
+    def __init__(self, p, axes=(1.0, 1.0, 1.0)):
         p = float(p)
         if not (p > 1.0 and math.isfinite(p)):
             raise BadParameter("lp exponent must lie in (1, inf)")
@@ -250,7 +241,6 @@ class LpBall(ConvexBody3):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "q", p / (p - 1.0))
-        object.__setattr__(self, "provenance", provenance)
 
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -271,15 +261,15 @@ class LpBall(ConvexBody3):
         return grad
 
     def polar_body(self):
-        return LpBall(self.q, 1.0 / self.axes, provenance=f"polar({self.provenance})")
+        return LpBall(self.q, 1.0 / self.axes)
 
 
 class Ellipsoid(ConvexBody3):
     """{ x . M x <= 1 } for positive definite M."""
 
-    __slots__ = ("M", "Minv", "provenance")
+    __slots__ = ("M", "Minv")
 
-    def __init__(self, M, provenance="ellipsoid"):
+    def __init__(self, M):
         M = np.array(M, dtype=float)
         if M.shape != (3, 3):
             raise BadParameter("ellipsoid matrix must be 3x3")
@@ -288,7 +278,6 @@ class Ellipsoid(ConvexBody3):
             raise DegenerateBody("ellipsoid matrix is not positive definite")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "Minv", np.linalg.inv(M))
-        object.__setattr__(self, "provenance", provenance)
 
     @staticmethod
     def from_axes(a, b, c):
@@ -308,13 +297,11 @@ class Ellipsoid(ConvexBody3):
         return (pts / mu[..., None]) @ self.M.T
 
     def polar_body(self):
-        return Ellipsoid(self.Minv, provenance=f"polar({self.provenance})")
+        return Ellipsoid(self.Minv)
 
     def transformed(self, A):
         A = _as_map(A)
-        return Ellipsoid(
-            A.inverse.T @ self.M @ A.inverse, provenance=f"map({self.provenance})"
-        )
+        return Ellipsoid(A.inverse.T @ self.M @ A.inverse)
 
 
 def _table_units(na, nb):
@@ -354,9 +341,9 @@ class RadialField(ConvexBody3):
     the raw input only by its convexity defect (zero at hull vertices).
     """
 
-    __slots__ = ("values", "n_alpha", "n_beta", "provenance", "_bpts")
+    __slots__ = ("values", "n_alpha", "n_beta", "_bpts")
 
-    def __init__(self, values, provenance="radial"):
+    def __init__(self, values):
         vals = np.array(values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] < 9 or vals.shape[1] < 8:
             raise DegenerateBody("radial table too small")
@@ -376,13 +363,12 @@ class RadialField(ConvexBody3):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "n_alpha", na)
         object.__setattr__(self, "n_beta", nb)
-        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_bpts", (vals[..., None] * units).reshape(-1, 3))
 
     @staticmethod
-    def from_function(rho, n_alpha=128, n_beta=256, provenance="radial"):
+    def from_function(rho, n_alpha=128, n_beta=256):
         """Sample rho(units array) -> radii on the uniform grid."""
-        return RadialField(rho(_table_units(n_alpha, n_beta)), provenance=provenance)
+        return RadialField(rho(_table_units(n_alpha, n_beta)))
 
     def _interp(self, alpha, beta):
         na, nb = self.n_alpha, self.n_beta
@@ -457,26 +443,21 @@ class RadialField(ConvexBody3):
 
     def polar_body(self):
         units = _table_units(self.n_alpha, self.n_beta)
-        return RadialField(
-            _polar_table(self.values, units), provenance=f"polar({self.provenance})"
-        )
+        return RadialField(_polar_table(self.values, units))
 
 
 class TransformedBody(ConvexBody3):
     """A K for a base body K and invertible map A."""
 
-    __slots__ = ("base", "map", "provenance")
+    __slots__ = ("base", "map")
 
-    def __init__(self, base, A, provenance=None):
+    def __init__(self, base, A):
         A = _as_map(A)
         if isinstance(base, TransformedBody):  # flatten chains
             A = A.compose(base.map)
             base = base.base
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "map", A)
-        object.__setattr__(
-            self, "provenance", provenance or f"map({base.provenance})"
-        )
 
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -492,11 +473,7 @@ class TransformedBody(ConvexBody3):
         return y @ self.map.inverse
 
     def polar_body(self):
-        return TransformedBody(
-            self.base.polar_body(),
-            LinearMap3(self.map.inverse.T),
-            provenance=f"polar({self.provenance})",
-        )
+        return TransformedBody(self.base.polar_body(), LinearMap3(self.map.inverse.T))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +485,6 @@ def make_body(spec) -> ConvexBody3:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ParseError("body descriptor must be a dict with a 'type' field")
     kind = spec["type"]
-    label = spec.get("label")
     try:
         if kind == "polytope":
             body = SymmetricPolytope(spec["vertices"])
@@ -525,8 +501,6 @@ def make_body(spec) -> ConvexBody3:
             raise ParseError(f"unknown body type {kind!r}")
     except KeyError as e:
         raise ParseError(f"body descriptor missing field {e}") from None
-    if label:
-        object.__setattr__(body, "provenance", label)
     return body
 
 
@@ -571,13 +545,13 @@ def cube() -> SymmetricPolytope:
         [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
         dtype=float,
     )
-    return SymmetricPolytope(signs, provenance="cube")
+    return SymmetricPolytope(signs)
 
 
 def cross_polytope() -> SymmetricPolytope:
     v = np.vstack([np.eye(3), -np.eye(3)])
-    return SymmetricPolytope(v, provenance="cross-polytope")
+    return SymmetricPolytope(v)
 
 
 def ball() -> LpBall:
-    return LpBall(2.0, (1.0, 1.0, 1.0), provenance="ball")
+    return LpBall(2.0, (1.0, 1.0, 1.0))

@@ -10,7 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, DegenerateBody, NotNormalized, NotSymmetric
-from .planar import brent_root, clip_halfplane, clip_quadrant, dual_vertex2, shoelace
+from .planar import (
+    brent_root,
+    clip_halfplane,
+    clip_quadrant,
+    dual_vertex2,
+    dual_vertices2,
+    shoelace,
+)
 
 __all__ = [
     "Polygon2",
@@ -78,11 +85,7 @@ class Polygon2:
 
 def _edge_normals(v: np.ndarray) -> np.ndarray:
     """Rows a with a.p <= 1 describing the polygon; a = dual vertex of each edge."""
-    w = np.roll(v, -1, axis=0)
-    out = np.empty_like(v)
-    for i in range(len(v)):
-        out[i] = dual_vertex2(v[i], w[i])
-    return out
+    return dual_vertices2(v, np.roll(v, -1, axis=0))
 
 
 def polar2(P: Polygon2) -> Polygon2:

@@ -26,7 +26,7 @@ from .bound2d import polar2 as polar2d
 from .bound2d import verify2 as verify2d
 from .bound3d import LOWER_BOUND, verify_chain
 from .errors import BadGridSize, InvalidBody, IoError, MahlerLabError, ParseError
-from .normalize import BoxPoint, fgh, find_normalization, winding
+from .normalize import _box_field, find_normalization, winding
 from .quadrature import make_grid, volume
 
 COMMANDS = ("vp", "polar", "normalize", "verify", "winding", "sweep", "verify2")
@@ -210,11 +210,12 @@ def _cmd_sweep(K, grid, args):
         raise ParseError(f"--n must be at least 1, got {n}")
     svals = np.linspace(0.0, 1.0, n)
     avals = np.linspace(0.0, np.pi, n)
+    field = _box_field(K, grid)
     rows = []
     for s in svals:
         for phi in avals:
             for psi in avals:
-                F, G, H = fgh(K, BoxPoint(s, phi, psi), grid)
+                F, G, H = field(s, phi, psi)[1][0]
                 rows.append([s, phi, psi, F, G, H])
     out = {"header": ["s", "phi", "psi", "F", "G", "H"], "rows": rows}
     print(f"sweep         {n}^3 = {len(rows)} samples")

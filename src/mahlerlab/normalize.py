@@ -257,18 +257,23 @@ def _theta_cap0(K: ConvexBody3, phi: float, psi: float, grid: SphereGrid) -> flo
     return _theta_only(rotate(K, 0.0, phi, psi), grid)
 
 
-def _fgh_at(K, s, phi, psi, grid, th0=None):
-    """theta = (pi - Theta(0, phi, psi)) s and the _fgh_body evaluation of
-    X(theta) Y(phi) Z(psi) K; th0 is Theta(0, phi, psi) if already solved."""
-    if th0 is None:
-        th0 = _theta_cap0(K, phi, psi, grid)
-    theta = (PI - th0) * s
-    return theta, _fgh_body(rotate(K, theta, phi, psi), grid)
+def _box_field(K: ConvexBody3, grid: SphereGrid):
+    """The field over the box: a function of (s, phi, psi) that gives
+    theta = (pi - Theta(0, phi, psi)) s and the _fgh_body evaluation of
+    X(theta) Y(phi) Z(psi) K.  Theta(0, phi, psi) is solved once per exact
+    (phi, psi) pair over the life of the returned function."""
+    th0 = functools.cache(lambda phi, psi: _theta_cap0(K, phi, psi, grid))
+
+    def field(s, phi, psi):
+        theta = (PI - th0(phi, psi)) * s
+        return theta, _fgh_body(rotate(K, theta, phi, psi), grid)
+
+    return field
 
 
 def fgh(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> np.ndarray:
     """(F, G, H) at a box point (s, phi, psi)."""
-    return _fgh_at(K, point.s, point.phi, point.psi, grid)[1][0]
+    return _box_field(K, grid)(point.s, point.phi, point.psi)[1][0]
 
 
 def condition_residuals(K: ConvexBody3, grid: SphereGrid):
@@ -296,10 +301,13 @@ def t_map(K: ConvexBody3, s: float, psi: float, grid: SphereGrid) -> float:
     """The face-matching map T_psi(s) (decreasing, T(0)=1, T(1)=0): the
     Brent root of Gamma_psi(theta) = pi - Theta_0 s over the box height
     pi - Theta_0, as a fraction of that height."""
-    th0 = _theta_cap0(K, 0.0, psi, grid)
-    height = PI - th0
-    target = PI - th0 * s
-    f = functools.cache(lambda t: gamma_map(K, psi, t, grid) - target)
+    gamma = functools.cache(lambda t: gamma_map(K, psi, t, grid))
+    height = gamma(0.0)  # pi - Theta_0
+    target = PI - (PI - height) * s
+
+    def f(t):
+        return gamma(t) - target
+
     # Gamma(0) = pi - Theta_0 exactly, so s = 1 gives f(0) = 0, and brentq
     # returns that end.  Gamma(height) = pi holds only to quadrature accuracy,
     # so near s = 0 the target (at most pi) can pass the top end: it maps to
@@ -321,9 +329,9 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
     the three face-matching identities of the box field.
     """
     s, phi, psi = point.s, point.phi, point.psi
-    th0 = _theta_cap0(K, phi, psi, grid)
-    L = rotate(K, (PI - th0) * s, phi, psi)
-    FL, angL, *_ = _fgh_body(L, grid)
+    field = _box_field(K, grid)
+    theta, (FL, angL, *_) = field(s, phi, psi)
+    L = rotate(K, theta, phi, psi)
     a = (angL.theta_cap, angL.phi_cap, angL.psi_cap)
     # one row per map of L: the image's (Theta, Phi, Psi) as (index i into a,
     # relation), where "=" expects a[i], "-" expects pi - a[i] and "+" checks
@@ -335,7 +343,7 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
         ("zpi", LinearMap3.rotation_z(PI), "-=-", (0, 1, 2), ((-1, 0), (1, 1), (-1, 2))),
     )
     res = {}
-    for name, turn, relations, index, field in body_maps:
+    for name, turn, relations, index, signs in body_maps:
         F2, ang2, *_ = _fgh_body(L.transformed(turn), grid)
         got = (ang2.theta_cap, ang2.phi_cap, ang2.psi_cap)
         for label, g, rel, i in zip(("theta", "phi", "psi"), got, relations, index):
@@ -343,21 +351,20 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
                 res[f"{name}_{label}_sum"] = abs(a[i] + g - PI)
             else:
                 res[f"{name}_{label}"] = abs(g - (PI - a[i] if rel == "-" else a[i]))
-        for label, f, (sign, i) in zip("FGH", F2, field):
+        for label, f, (sign, i) in zip("FGH", F2, signs):
             res[f"{name}_{label}"] = abs(f - sign * FL[i])
-    # one row per pair of box faces: a face point, its partner, the
-    # Theta(0, phi, psi) they share (None: solve for each), and the face
+    # one row per pair of box faces: a face point, its partner, and the face
     # point's (F, G, H) as (sign, index into the partner's)
     ts = t_map(K, s, psi, grid)
     face_pairs = (
-        ("face_s", (1.0, phi, psi), (0.0, phi, psi), th0, ((-1, 0), (-1, 2), (1, 1))),
-        ("face_phi", (s, PI, psi), (ts, 0.0, psi), None, ((1, 0), (-1, 2), (-1, 1))),
-        ("face_psi", (s, phi, PI), (s, PI - phi, 0.0), None, ((1, 0), (-1, 1), (-1, 2))),
+        ("face_s", (1.0, phi, psi), (0.0, phi, psi), ((-1, 0), (-1, 2), (1, 1))),
+        ("face_phi", (s, PI, psi), (ts, 0.0, psi), ((1, 0), (-1, 2), (-1, 1))),
+        ("face_psi", (s, phi, PI), (s, PI - phi, 0.0), ((1, 0), (-1, 1), (-1, 2))),
     )
-    for name, face, partner, shared, field in face_pairs:
-        f1 = _fgh_at(K, *face, grid, th0=shared)[1][0]
-        f0 = _fgh_at(K, *partner, grid, th0=shared)[1][0]
-        for label, f, (sign, i) in zip("FGH", f1, field):
+    for name, face, partner, signs in face_pairs:
+        f1 = field(*face)[1][0]
+        f0 = field(*partner)[1][0]
+        for label, f, (sign, i) in zip("FGH", f1, signs):
             res[f"{name}_{label}"] = abs(f - sign * f0[i])
 
     # endpoints of the face-matching map
@@ -439,18 +446,11 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     """
     volK = volume(K, grid)
     target = 1e-8 * volK
-    # Theta(0, phi, psi) per rounded angle pair, with the exact pair solved for
-    th0_cache: dict[tuple, tuple] = {}
-
-    def th0(phi, psi):
-        key = (round(phi, 12), round(psi, 12))
-        if key not in th0_cache:
-            th0_cache[key] = (_angle_bits(phi, psi), _theta_cap0(K, phi, psi, grid))
-        return th0_cache[key][1]
+    # every box point is evaluated once; the winner's evaluation is the result
+    point = functools.cache(_box_field(K, grid))
 
     def f(x):
-        s, phi, psi = x
-        return _fgh_at(K, s, phi, psi, grid, th0(phi, psi))[1][0]
+        return point(*x)[1][0]
 
     def norm(v):
         return float(np.max(np.abs(v)))
@@ -507,7 +507,7 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
         return None
 
     # quick exit for bodies already normalized at the origin of the box
-    theta0, origin = _fgh_at(K, 0.0, 0.0, 0.0, grid, th0(0.0, 0.0))
+    theta0, origin = point(0.0, 0.0, 0.0)
     v0 = origin[0]
     if norm(v0) < target:
         return _result((theta0, 0.0, 0.0), origin)
@@ -545,14 +545,8 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
         raise NoZeroFound("no zero of (F,G,H) located in the box")
     zeros.sort(key=lambda z: (norm(z[1]), tuple(np.round(z[0], 9))))
     s, phi, psi = zeros[0][0]
-    # the cached angle may belong to a nearby pair with the same rounding
-    solved, t0 = th0_cache.get((round(phi, 12), round(psi, 12)), (None, None))
-    theta, final = _fgh_at(K, s, phi, psi, grid, t0 if solved == _angle_bits(phi, psi) else None)
+    theta, final = point(s, phi, psi)
     return _result((theta, phi, psi), final)
-
-
-def _angle_bits(phi, psi) -> bytes:
-    return np.array([phi, psi], dtype=float).tobytes()
 
 
 def _result(angles, evaluation) -> NormalizationResult:

@@ -57,14 +57,20 @@ def clip_quadrant(poly: np.ndarray, sx: int, sy: int) -> np.ndarray:
     return clip_halfplane(q, (0.0, -sy), 0.0)
 
 
+def dual_vertices2(p, q) -> np.ndarray:
+    """Row k is the point v with v.p[k] = v.q[k] = 1."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    scale = np.maximum(1.0, np.abs(p).max(axis=1) * np.abs(q).max(axis=1))
+    if np.any(np.abs(det) <= 1e-14 * scale):
+        raise CollinearPoints("points are linearly dependent")
+    return np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]]) / det[:, None]
+
+
 def dual_vertex2(p, q):
     """The point v with v.p = v.q = 1."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    det = p[0] * q[1] - p[1] * q[0]
-    if abs(det) <= 1e-14 * max(1.0, float(np.abs(p).max() * np.abs(q).max())):
-        raise CollinearPoints("points are linearly dependent")
-    return np.array([q[1] - p[1], p[0] - q[0]]) / det
+    return dual_vertices2(p, q)[0]
 
 
 def halfspaces_to_polygon(normals: np.ndarray) -> np.ndarray:
@@ -78,11 +84,7 @@ def halfspaces_to_polygon(normals: np.ndarray) -> np.ndarray:
     a = a[np.linalg.norm(a, axis=1) > 1e-12 * scale]
     hull = ConvexHull(a)
     cyc = hull.vertices  # ccw order
-    pts = []
-    for i in range(len(cyc)):
-        p, q = a[cyc[i]], a[cyc[(i + 1) % len(cyc)]]
-        pts.append(dual_vertex2(p, q))
-    poly = np.array(pts)
+    poly = dual_vertices2(a[cyc], a[np.roll(cyc, -1)])
     if shoelace(poly) < 0:
         poly = poly[::-1]
     return poly

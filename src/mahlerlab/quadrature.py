@@ -111,7 +111,9 @@ def _octant_halfspace_volume(K: SymmetricPolytope, signs) -> float:
 def octant_volumes(K: ConvexBody3, grid: SphereGrid):
     """|Delta_i| for the eight octants, in the fixed sign-pattern order."""
     if isinstance(K, SymmetricPolytope):
-        return np.array([_octant_halfspace_volume(K, s) for s in OCTANT_SIGNS])
+        # by central symmetry octant i + 4 is the antipode of octant (i + 2) mod 4
+        up = np.array([_octant_halfspace_volume(K, s) for s in OCTANT_SIGNS[:4]])
+        return np.concatenate([up, up[[2, 3, 0, 1]]])
     rho3 = K.radial_many(grid.units) ** 3 * grid.weights
     return np.array(
         [np.sum(rho3[grid.octant == i]) / 3.0 for i in range(8)]

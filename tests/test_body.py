@@ -358,6 +358,13 @@ class TestMakeBodyDescriptors:
         K = make_body(spec)
         assert isinstance(K, Ellipsoid)
 
+    def test_label_is_ignored(self):
+        spec = {"type": "lp", "p": 3.0, "axes": [1.0, 0.8, 1.2]}
+        K = make_body({**spec, "label": "my lp ball"})
+        assert isinstance(K, LpBall)
+        assert np.array_equal(K.axes, make_body(spec).axes)
+        assert not hasattr(K, "label") and not hasattr(K, "provenance")
+
     def test_bad_descriptor(self):
         with pytest.raises(errors.ParseError):
             make_body({"type": "nonsense"})

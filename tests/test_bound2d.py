@@ -14,7 +14,7 @@ from mahlerlab.bound2d import (
     polar2,
     verify2,
 )
-from mahlerlab.planar import clip_quadrant, hull2, shoelace
+from mahlerlab.planar import clip_quadrant, dual_vertices2, hull2, shoelace
 from oracles import bisect
 
 
@@ -76,6 +76,18 @@ class TestDualVertex2:
     def test_collinear(self):
         with pytest.raises(errors.CollinearPoints):
             dual_vertex2((1.0, 2.0), (2.0, 4.0))
+
+    def test_rows_match_one_pair_case(self):
+        p, q = np.random.default_rng(91).standard_normal((2, 30, 2))
+        v = dual_vertices2(p, q)
+        for k in range(len(p)):
+            assert v[k].tobytes() == dual_vertex2(p[k], q[k]).tobytes()
+            det = p[k, 0] * q[k, 1] - p[k, 1] * q[k, 0]
+            want = np.array([q[k, 1] - p[k, 1], p[k, 0] - q[k, 0]]) / det
+            assert v[k].tobytes() == want.tobytes()
+        q[7] = 2.0 * p[7]
+        with pytest.raises(errors.CollinearPoints):
+            dual_vertices2(p, q)
 
 
 class TestPolar2:

@@ -275,8 +275,8 @@ class TestDetectEquality:
             bodies += body_corpus(seed=seed)
         bodies += [polar(K) for K in bodies if isinstance(K, SymmetricPolytope)]
         kinds = {True: 0, False: 0}
-        for K in bodies:
+        for j, K in enumerate(bodies):
             got = _is_parallelepiped(K)
-            assert got == oracles.is_parallelepiped(K), K.provenance
+            assert got == oracles.is_parallelepiped(K), f"body {j}: {type(K).__name__}"
             kinds[got] += 1
         assert kinds[True] >= 80 and kinds[False] >= 80

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mahlerlab import cli
+from mahlerlab import cli, normalize
 from mahlerlab.body import LinearMap3, cube, make_body
+from mahlerlab.normalize import BoxPoint, fgh
 from mahlerlab.quadrature import make_grid
 
 
@@ -232,3 +233,25 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "s,phi,psi,F,G,H"
         assert len(lines) == 1 + 8
+
+    def test_theta0_once_per_angle_pair(self, tmp_path, monkeypatch):
+        spec = {"type": "lp", "p": 3.0, "axes": [1.0, 0.8, 1.2]}
+        p = write_body(tmp_path / "lp.json", spec)
+        out = tmp_path / "sweep.csv"
+        calls = []
+        theta_cap0 = normalize._theta_cap0
+
+        def counted(K, phi, psi, grid):
+            calls.append((phi, psi))
+            return theta_cap0(K, phi, psi, grid)
+
+        monkeypatch.setattr(normalize, "_theta_cap0", counted)
+        code = cli.run(["sweep", "--body", p, "--grid", "16x32", "--n", "3", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert len(calls) == 9
+        K, grid = make_body(spec), make_grid(16, 32)
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 27
+        for s, phi, psi, *row in rows:
+            want = fgh(K, BoxPoint(s, phi, psi), grid)
+            assert np.array(row).tobytes() == want.tobytes()

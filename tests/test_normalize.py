@@ -347,6 +347,19 @@ class TestGammaAndT:
         assert t_map(K, 0.0, 0.8, grid) == pytest.approx(1.0, abs=1e-8)
         assert t_map(K, 1.0, 0.8, grid) == pytest.approx(0.0, abs=1e-8)
 
+    def test_t_map_solves_theta0_once(self, monkeypatch):
+        # at s = 1 the height Gamma(0) and f(height); f(0) reuses Gamma(0)
+        calls = []
+        theta_only = normalize._theta_only
+
+        def counted(K, grid):
+            calls.append(K)
+            return theta_only(K, grid)
+
+        monkeypatch.setattr(normalize, "_theta_only", counted)
+        assert t_map(LpBall(3.0, (1.0, 0.7, 1.3)), 1.0, 0.8, make_grid(16, 32)) == 0.0
+        assert len(calls) == 2
+
     def test_t0_inverse_is_tpi(self, grid):
         K = random_smooth_body(np.random.default_rng(82))
         for s in (0.25, 0.6):
@@ -423,6 +436,27 @@ class TestFindNormalization:
         res = find_normalization(Ellipsoid.from_axes(1.2, 0.8, 1.1), grid)
         assert res.angles == (0.0, 0.0, 0.0)
         assert len(calls) == 1
+
+    def test_no_point_evaluated_twice(self, monkeypatch):
+        # the rotation angles (theta, phi, psi) of each field evaluation stand
+        # for its box point (s, phi, psi): theta = (pi - Theta_0) s
+        angles, evaluated = [], []
+        fgh_body = normalize._fgh_body
+
+        def rotated(K, *a):
+            angles.append(a)
+            return rotate(K, *a)
+
+        def counted(L, grid):
+            evaluated.append(angles[-1])
+            return fgh_body(L, grid)
+
+        monkeypatch.setattr(normalize, "rotate", rotated)
+        monkeypatch.setattr(normalize, "_fgh_body", counted)
+        res = find_normalization(random_smooth_body(np.random.default_rng(1)), make_grid(16, 32))
+        assert len(evaluated) > 729
+        assert len(set(evaluated)) == len(evaluated)
+        assert res.angles in evaluated
 
     def test_sheared_cube(self, grid):
         K = sheared_cube(np.random.default_rng(86))

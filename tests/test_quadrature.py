@@ -31,7 +31,7 @@ from mahlerlab.quadrature import (
     volume_product,
     wedge_volume,
 )
-from mahlerlab import planar
+from mahlerlab import planar, quadrature
 
 FOUR_PI = 4.0 * math.pi
 
@@ -131,6 +131,24 @@ class TestOctantVolumes:
         ex = octant_volumes(K, fine_grid)
         qu = octant_volumes(TransformedBody(K, LinearMap3.identity()), fine_grid)
         assert np.allclose(ex, qu, rtol=5e-3)
+
+    def test_polytope_cuts_upper_octants_only(self, grid, monkeypatch):
+        calls = []
+        cut = quadrature._cut_volume
+
+        def counted(K, normals, u):
+            calls.append(u)
+            return cut(K, normals, u)
+
+        monkeypatch.setattr(quadrature, "_cut_volume", counted)
+        K = random_symmetric_polytope(np.random.default_rng(9), 12)
+        ov = octant_volumes(K, grid)
+        assert len(calls) == 4
+        assert np.all(np.array(calls)[:, 2] > 0)
+        assert ov[4:].tobytes() == ov[[2, 3, 0, 1]].tobytes()
+        # the mirrored lower octants are the ones a direct cut measures
+        lower = [quadrature._octant_halfspace_volume(K, s) for s in quadrature.OCTANT_SIGNS[4:]]
+        assert np.allclose(ov[4:], lower, rtol=1e-13, atol=0.0)
 
     def test_partition(self, grid):
         for K in body_corpus(seed=1, n_polytopes=2, n_lp=2, n_sheared=1, n_smooth=1):
