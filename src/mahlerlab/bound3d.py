@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import planar
 from .body import ConvexBody3, SymmetricPolytope, polar
 from .errors import MembershipViolated, SingularFace
 from .normalize import _condition_residuals
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 LOWER_BOUND = 32.0 / 3.0
-_N_CURVE = 512  # chord samples per boundary curve of the polar-side curve vectors
+_N_CURVE = 512  # chord samples per smooth boundary curve of the polar-side curve vectors
 
 
 def _axis_points(K: ConvexBody3):
@@ -51,55 +52,34 @@ def _segment_samples(K: ConvexBody3, P: np.ndarray, Q: np.ndarray, n: int):
     return pts / K.gauge_many(pts)[:, None]
 
 
-def _dual_polyline_polytope(K: SymmetricPolytope, P, Q, n: int) -> np.ndarray:
-    """Ordered distinct contact vertices on the polar along the segment.
+def _dual_polyline_polytope(K: SymmetricPolytope, P, Q) -> np.ndarray:
+    """Contact vertices on the polar along the boundary arc from P to Q.
 
-    The dual curve of a polytope is piecewise constant with jumps where the
-    chord crosses a facet boundary; each coarse interval whose endpoints
-    disagree is bisected recursively so that no intermediate vertex is
-    skipped.
-    """
-
-    def lam(t):
-        p = (1.0 - t) * P + t * Q
-        x = p / K.gauge(p)
-        return K.lambda_many(x[None, :])[0]
-
-    scale = max(float(np.abs(K.vertices).max()), 1.0)
-    tol = 1e-9 * scale
-    ts = np.linspace(0.0, 1.0, n + 1)
-    ys = K.lambda_many(_segment_samples(K, P, Q, n))
-    out = [ys[0]]
-
-    def refine(t0, y0, t1, y1, depth):
-        if np.max(np.abs(y0 - y1)) <= tol:
-            return
-        if depth == 0 or t1 - t0 < 1e-14:
-            out.append(y1)
-            return
-        tm = 0.5 * (t0 + t1)
-        ym = lam(tm)
-        refine(t0, y0, tm, ym, depth - 1)
-        refine(tm, ym, t1, y1, depth - 1)
-
-    for k in range(n):
-        refine(ts[k], ys[k], ts[k + 1], ys[k + 1], 48)
-    return np.array(out)
+    The arc is the section of K in the plane of P and Q between the two, an
+    angle below pi.  Lambda is constant on each arc edge, so evaluating it at
+    P, at each edge midpoint and at Q gives every vertex of the polar curve
+    in order (consecutive repeats add nothing to the cross sum)."""
+    e1 = P / np.linalg.norm(P)
+    e2 = Q - (Q @ e1) * e1
+    E = np.array([e1, e2 / np.linalg.norm(e2)])
+    poly = planar.halfspaces_to_polygon(K.facets @ E.T)
+    ang = np.arctan2(poly[:, 1], poly[:, 0])
+    inner = (ang > 0.0) & (ang < math.atan2(Q @ E[1], Q @ E[0]))
+    arc = np.vstack([P, poly[inner][np.argsort(ang[inner])] @ E, Q])
+    return K.lambda_many(np.vstack([P, 0.5 * (arc[:-1] + arc[1:]), Q]))
 
 
 def _cross_sum(poly: np.ndarray) -> np.ndarray:
     """Sum of cross(p_k, p_{k+1}); the three pairwise determinant integrals
     of the chordal polyline (components in the (2,3),(3,1),(1,2) order)."""
-    if len(poly) < 2:
-        return np.zeros(3)
     return np.sum(np.cross(poly[:-1], poly[1:]), axis=0)
 
 
-def _dual_curve_vector(K: ConvexBody3, P, Q, n: int) -> np.ndarray:
+def _dual_curve_vector(K: ConvexBody3, P, Q) -> np.ndarray:
     if isinstance(K, SymmetricPolytope):
-        return _cross_sum(_dual_polyline_polytope(K, P, Q, n))
+        return _cross_sum(_dual_polyline_polytope(K, P, Q))
     # chord sums are O(h^2); one Richardson step removes the leading bias
-    ys = K.lambda_many(_segment_samples(K, P, Q, n))
+    ys = K.lambda_many(_segment_samples(K, P, Q, _N_CURVE))
     full = _cross_sum(ys)
     half = _cross_sum(ys[::2])
     return (4.0 * full - half) / 3.0
@@ -149,7 +129,7 @@ def _curve_vectors(K: ConvexBody3, qa: np.ndarray) -> CurveVectors:
         "h": (A, B),
         "i": (B, -A),
     }
-    dual = {k + "_p": _dual_curve_vector(K, P, Q, _N_CURVE) for k, (P, Q) in segs.items()}
+    dual = {k + "_p": _dual_curve_vector(K, P, Q) for k, (P, Q) in segs.items()}
     return CurveVectors(**body, **dual)
 
 

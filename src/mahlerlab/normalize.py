@@ -301,20 +301,25 @@ def t_map(K: ConvexBody3, s: float, psi: float, grid: SphereGrid) -> float:
     """The face-matching map T_psi(s) (decreasing, T(0)=1, T(1)=0): the
     Brent root of Gamma_psi(theta) = pi - Theta_0 s over the box height
     pi - Theta_0, as a fraction of that height."""
+    return _t_map(K, psi, grid)(s)
+
+
+def _t_map(K: ConvexBody3, psi: float, grid: SphereGrid):
+    """T_psi as a function of s, with one Gamma_psi memo over all its calls."""
     gamma = functools.cache(lambda t: gamma_map(K, psi, t, grid))
-    height = gamma(0.0)  # pi - Theta_0
-    target = PI - (PI - height) * s
 
-    def f(t):
-        return gamma(t) - target
+    def T(s):
+        height = gamma(0.0)  # pi - Theta_0
+        target = PI - (PI - height) * s
+        # Gamma(0) = pi - Theta_0 exactly, so s = 1 puts the root at 0, and brentq
+        # returns that end.  Gamma(height) = pi holds only to quadrature accuracy, so
+        # near s = 0 the target (at most pi) can pass the top end: it maps to that
+        # end, as under bisection.  A target below Gamma(0) stays an error.
+        if gamma(height) < target:
+            return 1.0
+        return planar.brent_root(lambda t: gamma(t) - target, 0.0, height, "T map") / height
 
-    # Gamma(0) = pi - Theta_0 exactly, so s = 1 gives f(0) = 0, and brentq
-    # returns that end.  Gamma(height) = pi holds only to quadrature accuracy,
-    # so near s = 0 the target (at most pi) can pass the top end: it maps to
-    # that end, as under bisection.  A target below Gamma(0) stays an error.
-    if f(height) < 0.0:
-        return 1.0
-    return planar.brent_root(f, 0.0, height, "T map") / height
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +334,8 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
     the three face-matching identities of the box field.
     """
     s, phi, psi = point.s, point.phi, point.psi
-    field = _box_field(K, grid)
+    # at s = 0 the face_s partner is the point itself
+    field = functools.cache(_box_field(K, grid))
     theta, (FL, angL, *_) = field(s, phi, psi)
     L = rotate(K, theta, phi, psi)
     a = (angL.theta_cap, angL.phi_cap, angL.psi_cap)
@@ -355,7 +361,8 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
             res[f"{name}_{label}"] = abs(f - sign * FL[i])
     # one row per pair of box faces: a face point, its partner, and the face
     # point's (F, G, H) as (sign, index into the partner's)
-    ts = t_map(K, s, psi, grid)
+    T = _t_map(K, psi, grid)
+    ts = T(s)
     face_pairs = (
         ("face_s", (1.0, phi, psi), (0.0, phi, psi), ((-1, 0), (-1, 2), (1, 1))),
         ("face_phi", (s, PI, psi), (ts, 0.0, psi), ((1, 0), (-1, 2), (-1, 1))),
@@ -368,8 +375,8 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
             res[f"{name}_{label}"] = abs(f - sign * f0[i])
 
     # endpoints of the face-matching map
-    res["t_map_0"] = abs(t_map(K, 0.0, psi, grid) - 1.0)
-    res["t_map_1"] = abs(t_map(K, 1.0, psi, grid))
+    res["t_map_0"] = abs(T(0.0) - 1.0)
+    res["t_map_1"] = abs(T(1.0))
     return res
 
 
@@ -391,16 +398,22 @@ def _contour_angles(t: float):
 def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
     volK = volume(K, grid)
     thr = 1e-9 * volK
-    cache: dict[float, tuple] = {}
+    # keyed on the angles: t = 0 and t = 4 pi are the same point
+    cache: dict[tuple, tuple] = {}
 
-    def gh(t: float):
-        if t not in cache:
-            phi, psi = _contour_angles(t)
-            v = _fgh_body(rotate(K, 0.0, phi, psi), grid)[0]
-            if math.hypot(v[1], v[2]) < thr:
-                raise NotGeneric("(G,H) vanishes on the contour")
-            cache[t] = (v[1], v[2])
-        return cache[t]
+    def gh(t: float, kind: str = "inserted by refinement"):
+        key = _contour_angles(t)
+        if key not in cache:
+            v = _fgh_body(rotate(K, 0.0, *key), grid)[0]
+            r = math.hypot(v[1], v[2])
+            if r < thr:
+                raise NotGeneric(
+                    f"(G,H) vanishes on the contour at t = {float(t)!r}, (phi, psi) = "
+                    f"{tuple(map(float, key))}, {kind}: |(G,H)| = {r / volK:.2g} |K|, "
+                    "below the 1e-9 |K| threshold"
+                )
+            cache[key] = (v[1], v[2])
+        return cache[key]
 
     def step(v0, v1):
         cross = v0[0] * v1[1] - v0[1] * v1[0]
@@ -409,7 +422,7 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
 
     ts = list(np.linspace(0.0, 4 * PI, n_samples + 1))
     for t in ts:
-        gh(t)
+        gh(t, "a base sample")
     # adaptive bisection of long angular steps
     i = 0
     while i < len(ts) - 1:

@@ -7,7 +7,10 @@ volumes by spherical excess.  The library's root, Newton and closed-form
 solves are checked against fixed-step bisections of the same functions:
 60 steps on the polytope balance measures, 64 on the spectral
 antiderivative of the smooth ones, 48 on the Gamma map of the T map and
-80 on the quadrant gap of the planar normalization.
+80 on the quadrant gap of the planar normalization.  A polytope's
+polar-side curve vectors, read by the library off the section polygon, are
+checked against a sampled polyline: 512 chord samples, each interval whose
+contact vertices differ bisected recursively.
 """
 
 from __future__ import annotations
@@ -181,6 +184,49 @@ def bisect_normalize2(P):
         0.5 * math.pi,
         80,
     )
+
+
+def sampled_dual_polyline(K, P, Q, n=512):
+    """Ordered distinct contact vertices on the polar along the segment.
+
+    The dual curve of a polytope is piecewise constant with jumps where the
+    chord crosses a facet boundary; each coarse interval whose endpoints
+    disagree is bisected recursively so that no intermediate vertex is
+    skipped.
+    """
+    from mahlerlab.bound3d import _segment_samples
+
+    def lam(t):
+        p = (1.0 - t) * P + t * Q
+        x = p / K.gauge(p)
+        return K.lambda_many(x[None, :])[0]
+
+    scale = max(float(np.abs(K.vertices).max()), 1.0)
+    tol = 1e-9 * scale
+    ts = np.linspace(0.0, 1.0, n + 1)
+    ys = K.lambda_many(_segment_samples(K, P, Q, n))
+    out = [ys[0]]
+
+    def refine(t0, y0, t1, y1, depth):
+        if np.max(np.abs(y0 - y1)) <= tol:
+            return
+        if depth == 0 or t1 - t0 < 1e-14:
+            out.append(y1)
+            return
+        tm = 0.5 * (t0 + t1)
+        ym = lam(tm)
+        refine(t0, y0, tm, ym, depth - 1)
+        refine(tm, ym, t1, y1, depth - 1)
+
+    for k in range(n):
+        refine(ts[k], ys[k], ts[k + 1], ys[k + 1], 48)
+    return np.array(out)
+
+
+def sampled_dual_curve_vector(K, P, Q):
+    """Polar-side curve vector of a polytope arc from the sampled polyline."""
+    poly = sampled_dual_polyline(K, P, Q)
+    return np.sum(np.cross(poly[:-1], poly[1:]), axis=0)
 
 
 def solid_angle(a, b, c):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import (
@@ -68,8 +69,8 @@ class TestCurveVectors:
             Q = rng.standard_normal(3)
             P /= K.gauge(P)
             Q /= K.gauge(Q)
-            fwd = _dual_curve_vector(K, P, Q, 512)
-            rev = _dual_curve_vector(K, Q, P, 512)
+            fwd = _dual_curve_vector(K, P, Q)
+            rev = _dual_curve_vector(K, Q, P)
             assert np.allclose(fwd, -rev, atol=1e-8 * max(np.abs(fwd).max(), 1.0))
 
     def test_projection_consistency(self, grid):
@@ -81,6 +82,80 @@ class TestCurveVectors:
             assert cv.d_p[0] + cv.e_p[0] == pytest.approx(P[0], rel=1e-6)
             assert cv.f_p[1] + cv.g_p[1] == pytest.approx(P[1], rel=1e-6)
             assert cv.h_p[2] + cv.i_p[2] == pytest.approx(P[2], rel=1e-6)
+
+
+class TestPolytopeCurveVectors:
+    """The polar curve of a polytope arc, read off the section polygon,
+    against the sampled polyline of the oracle."""
+
+    def _corpus(self):
+        rng = np.random.default_rng(120)
+        out = [cube(), cross_polytope()]
+        out += [sheared_cube(rng) for _ in range(3)]
+        out += [random_symmetric_polytope(rng, pairs=int(rng.integers(4, 16))) for _ in range(6)]
+        out += [rotate(K, *rng.uniform(0.0, 2.0 * math.pi, 3)) for K in out[:6]]
+        return out
+
+    def test_axis_arcs_match_sampled_polyline(self):
+        for j, K in enumerate(self._corpus()):
+            scale = max(float(np.abs(K.vertices).max()), 1.0)
+            A, B, C = bound3d._axis_points(K)
+            for P, Q in ((B, C), (C, -B), (C, A), (A, -C), (A, B), (B, -A)):
+                got = _dual_curve_vector(K, P, Q)
+                want = oracles.sampled_dual_curve_vector(K, P, Q)
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"body {j}"
+
+    def test_random_arcs_match_sampled_polyline(self):
+        rng = np.random.default_rng(121)
+        corpus = self._corpus()
+        for j in range(30):
+            K = corpus[j % len(corpus)]
+            scale = max(float(np.abs(K.vertices).max()), 1.0)
+            P, Q = rng.standard_normal((2, 3))
+            P /= K.gauge(P)
+            Q /= K.gauge(Q)
+            got = _dual_curve_vector(K, P, Q)
+            want = oracles.sampled_dual_curve_vector(K, P, Q)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"arc {j}"
+            assert np.max(np.abs(got + _dual_curve_vector(K, Q, P))) <= 1e-12 * scale
+
+    def test_one_contact_map_call_per_curve(self, monkeypatch):
+        calls = []
+        lambda_many = SymmetricPolytope.lambda_many
+
+        def counted(self, pts):
+            calls.append(len(pts))
+            return lambda_many(self, pts)
+
+        monkeypatch.setattr(SymmetricPolytope, "lambda_many", counted)
+        curve_vectors(random_symmetric_polytope(np.random.default_rng(122), pairs=9))
+        assert len(calls) == 6
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), pairs=st.integers(4, 15), turn=st.booleans())
+    def test_polar_shadow_identity(self, grid, seed, pairs, turn):
+        # d_p + e_p, f_p + g_p and h_p + i_p trace half the polar's boundary
+        # seen along an axis, so their axis components are its exact shadows
+        rng = np.random.default_rng(seed)
+        K = random_symmetric_polytope(rng, pairs=pairs)
+        if turn:
+            K = rotate(K, *rng.uniform(0.0, 2.0 * math.pi, 3))
+        self._check_shadows(K, grid)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="lowest-facet contact map at axis points that are vertices (ROADMAP item 7)",
+    )
+    def test_polar_shadow_identity_cross_polytope(self, grid):
+        self._check_shadows(cross_polytope(), grid)
+
+    @staticmethod
+    def _check_shadows(K, grid):
+        cv = curve_vectors(K)
+        _, P = plane_measures(polar(K), grid)
+        assert cv.d_p[0] + cv.e_p[0] == pytest.approx(P[0], rel=1e-10)
+        assert cv.f_p[1] + cv.g_p[1] == pytest.approx(P[1], rel=1e-10)
+        assert cv.h_p[2] + cv.i_p[2] == pytest.approx(P[2], rel=1e-10)
 
 
 class TestTestPoints:

@@ -396,6 +396,29 @@ class TestSymmetryResiduals:
         assert list(res) == maps + faces + ["t_map_0", "t_map_1"]
         assert len(res) == 35
 
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # the three T values share one Gamma memo, and at s = 0 the face_s
+        # partner (0, phi, psi) is the point itself: 1 + 4 turned images + 5
+        # face points
+        gammas, fields = [], []
+        gamma_map, fgh_body = normalize.gamma_map, normalize._fgh_body
+
+        def counted_gamma(K, psi, theta, grid):
+            gammas.append(theta)
+            return gamma_map(K, psi, theta, grid)
+
+        def counted_fgh(L, grid):
+            fields.append(L)
+            return fgh_body(L, grid)
+
+        monkeypatch.setattr(normalize, "gamma_map", counted_gamma)
+        monkeypatch.setattr(normalize, "_fgh_body", counted_fgh)
+        K = LpBall(3.0, (1.0, 0.7, 1.3))
+        symmetry_residuals(K, BoxPoint(0.0, 1.0, 2.0), make_grid(16, 32))
+        assert gammas.count(0.0) == 1
+        assert len(gammas) == len(set(gammas))
+        assert len(fields) == 10
+
 
 class TestWinding:
     def test_perturbed_cube_odd_and_stable(self, grid):
@@ -413,8 +436,22 @@ class TestWinding:
         assert np.max(np.abs(dang)) < 0.5 * PI
 
     def test_unconditional_not_generic(self, grid):
-        with pytest.raises(errors.NotGeneric):
+        where = r"at t = 0\.0, \(phi, psi\) = \(0\.0, 0\.0\), a base sample"
+        with pytest.raises(errors.NotGeneric, match=where):
             winding(cube(), 32, grid)
+
+    def test_each_contour_point_evaluated_once(self, monkeypatch):
+        # t = 0 and t = 4 pi are the same point of the contour
+        calls = []
+        fgh_body = normalize._fgh_body
+
+        def counted(L, grid):
+            calls.append(L)
+            return fgh_body(L, grid)
+
+        monkeypatch.setattr(normalize, "_fgh_body", counted)
+        tr = winding(perturbed_cube(np.random.default_rng(84)), 64, make_grid(32, 64))
+        assert len(calls) == len(tr.samples) - 1
 
 
 class TestFindNormalization:
