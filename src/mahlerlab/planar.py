@@ -28,7 +28,8 @@ def shoelace(poly: np.ndarray) -> float:
     if len(p) < 3:
         return 0.0
     x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * float(np.sum(x * y1 - x1 * y))
 
 
 def clip_halfplane(poly: np.ndarray, n, c: float) -> np.ndarray:

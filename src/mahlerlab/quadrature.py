@@ -76,7 +76,7 @@ def make_grid(n_alpha: int, n_beta: int) -> SphereGrid:
     w_beta = np.tile(wb * quarter / 2.0, 4)
     units = sphere_point(alpha[:, None], beta[None, :]).reshape(-1, 3)
     weights = (w_alpha[:, None] * w_beta[None, :]).reshape(-1)
-    octant, _ = _classify_octants(units)
+    octant = _octant_index(units)
     return SphereGrid(
         n_alpha, n_beta, alpha, w_alpha, beta, w_beta, units, weights, octant
     )
@@ -133,19 +133,24 @@ def wedge_volume(K: SymmetricPolytope, b0: float, b1: float) -> float:
     return _cut_volume(K, np.array([-n0, n1]), np.array([0.0, math.cos(m), math.sin(m)]))
 
 
+# octant index by sign bits 4*(x<0) + 2*(y<0) + (z<0): the inverse of the
+# permutation that maps each octant to its sign bits
+_OCTANT_OF_SIGN_BITS = np.argsort(
+    [4 * (sx < 0) + 2 * (sy < 0) + (sz < 0) for sx, sy, sz in OCTANT_SIGNS]
+)
+
+
+def _octant_index(x: np.ndarray) -> np.ndarray:
+    """Octant index per row of x, in the fixed sign-pattern order."""
+    neg = x < 0
+    return _OCTANT_OF_SIGN_BITS[4 * neg[:, 0] + 2 * neg[:, 1] + neg[:, 2]]
+
+
 def _classify_octants(x: np.ndarray):
     """Octant index per row of x; also the fraction of near-plane points."""
     scale = np.linalg.norm(x, axis=-1)
     near = np.min(np.abs(x), axis=-1) < 1e-9 * scale
-    idx = np.zeros(len(x), dtype=int)
-    neg = x < 0
-    # piecewise map of the sign pattern to the fixed octant order
-    for i, s in enumerate(OCTANT_SIGNS):
-        m = (neg[:, 0] == (s[0] < 0)) & (neg[:, 1] == (s[1] < 0)) & (
-            neg[:, 2] == (s[2] < 0)
-        )
-        idx[m] = i
-    return idx, float(np.mean(near)) if len(x) else 0.0
+    return _octant_index(x), float(np.mean(near)) if len(x) else 0.0
 
 
 def polar_piece_volumes(K: ConvexBody3, grid: SphereGrid):

@@ -10,7 +10,9 @@ antiderivative of the smooth ones, 48 on the Gamma map of the T map and
 80 on the quadrant gap of the planar normalization.  A polytope's
 polar-side curve vectors, read by the library off the section polygon, are
 checked against a sampled polyline: 512 chord samples, each interval whose
-contact vertices differ bisected recursively.
+contact vertices differ bisected recursively.  The radial table's boundary
+map, whose refinement stencil the library reads off the tabulated polar, is
+checked against the same stencil evaluated by nine support passes.
 """
 
 from __future__ import annotations
@@ -227,6 +229,48 @@ def sampled_dual_curve_vector(K, P, Q):
     """Polar-side curve vector of a polytope arc from the sampled polyline."""
     poly = sampled_dual_polyline(K, P, Q)
     return np.sum(np.cross(poly[:-1], poly[1:]), axis=0)
+
+
+def stencil_radial_lambda(K, pts):
+    """Boundary map of a RadialField with its quadratic-fit stencil evaluated
+    by one support pass per stencil node (nine passes over all points)."""
+    from mahlerlab.body import _max_dot, _table_units, sphere_point
+
+    pts = np.asarray(pts, dtype=float)
+    mu = K.gauge_many(pts)
+    x = pts / mu[..., None]
+    # maximize x.y over y in the polar: y = u / h_K(u)
+    flat = x.reshape(-1, 3)
+    na, nb = K.n_alpha, K.n_beta
+    units = _table_units(na, nb).reshape(-1, 3)
+    h = K.support_many(units)
+    best = _max_dot(flat, units / h[:, None], reduce=np.argmax)
+    ia = np.clip(best // nb, 1, na - 1).astype(float)
+    ib = (best % nb).astype(float)
+    da, db = math.pi / na, 2.0 * math.pi / nb
+    # one quadratic-fit refinement step on g(a,b) = x . u(a,b)/h(u(a,b))
+    def val(a, b):
+        u = sphere_point(a, b)
+        return np.einsum("...i,...i->...", flat, u) / K.support_many(u)
+
+    a0, b0 = ia * da, ib * db
+    s = np.empty((len(flat), 3, 3))
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            s[:, di + 1, dj + 1] = val(a0 + di * da, b0 + dj * db)
+    gx = 0.5 * (s[:, 2, 1] - s[:, 0, 1])
+    gy = 0.5 * (s[:, 1, 2] - s[:, 1, 0])
+    hxx = s[:, 2, 1] - 2 * s[:, 1, 1] + s[:, 0, 1]
+    hyy = s[:, 1, 2] - 2 * s[:, 1, 1] + s[:, 1, 0]
+    hxy = 0.25 * (s[:, 2, 2] - s[:, 0, 2] - s[:, 2, 0] + s[:, 0, 0])
+    det = hxx * hyy - hxy * hxy
+    ok = (hxx < 0) & (det > 0)
+    dx = np.where(ok, np.clip((-gx * hyy + gy * hxy) / np.where(det == 0, 1, det), -1, 1), 0.0)
+    dy = np.where(ok, np.clip((-gy * hxx + gx * hxy) / np.where(det == 0, 1, det), -1, 1), 0.0)
+    a1, b1 = a0 + dx * da, b0 + dy * db
+    u1 = sphere_point(a1, b1)
+    y = u1 / K.support_many(u1)[:, None]
+    return y.reshape(pts.shape)
 
 
 def solid_angle(a, b, c):

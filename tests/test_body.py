@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_lp_ball, random_smooth_body, random_symmetric_polytope
-from mahlerlab import errors
+from mahlerlab import body as body_module, errors
 from mahlerlab.body import (
     Direction,
     Ellipsoid,
@@ -300,6 +300,57 @@ class TestBoundaryMap:
         i = int(np.argmin(np.max(np.abs(K.facets - y), axis=1)))
         js = np.nonzero(np.abs(K.facets @ np.array([1.0, 1.0, 0.0]) - 1.0) < 1e-12)[0]
         assert i == js.min()
+
+
+def _l4_table():
+    """The l4 unit ball tabulated at 32x64."""
+    return RadialField.from_function(lambda u: 1.0 / np.sum(u**4, axis=-1) ** 0.25, 32, 64)
+
+
+class TestRadialContactMap:
+    def test_matches_nine_pass_stencil(self, fine_grid):
+        rng = np.random.default_rng(47)
+        tables = [_l4_table()]
+        for _ in range(2):
+            K0 = random_smooth_body(rng)  # a random linear image of an lp ball
+            tables.append(RadialField.from_function(K0.radial_many, 32, 64))
+        us = fine_grid.units
+        for K in tables + [polar(K) for K in tables]:
+            pts = us * K.radial_many(us)[:, None]
+            ref = oracles.stencil_radial_lambda(K, pts)
+            assert np.max(np.abs(K.lambda_many(pts) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_three_max_dot_calls(self, monkeypatch):
+        # the table's support, the argmax over the polar table and the
+        # support at the refined directions; the stencil reads the table
+        calls = []
+        max_dot = body_module._max_dot
+
+        def counted(x, pts, reduce=np.max):
+            calls.append(len(np.reshape(x, (-1, 3))))
+            return max_dot(x, pts, reduce)
+
+        K = _l4_table()
+        us = make_grid(16, 32).units
+        pts = us * K.radial_many(us)[:, None]
+        monkeypatch.setattr(body_module, "_max_dot", counted)
+        K.lambda_many(pts)
+        assert calls == [33 * 64, len(pts), len(pts)]
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_max_dot_chunk_width(self, monkeypatch, rows):
+        # 999 rows split unevenly: 2 rows a block when one is asked for (the
+        # last block takes 3), 7, and the default 124
+        rng = np.random.default_rng(48)
+        x = rng.standard_normal((999, 3))
+        pts = rng.standard_normal((2112, 3))
+        if rows is not None:
+            monkeypatch.setattr(body_module, "_MAX_DOT_CHUNK", rows * len(pts))
+        dots = x @ pts.T
+        m = body_module._max_dot(x, pts)
+        j = body_module._max_dot(x, pts, reduce=np.argmax)
+        assert m.tobytes() == np.max(dots, axis=1).tobytes()
+        assert np.array_equal(j, np.argmax(dots, axis=1))
 
 
 class TestApplyLinear:
