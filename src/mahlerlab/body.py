@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import (
     BadParameter,
@@ -66,6 +66,8 @@ class LinearMap3:
         m = np.array(matrix, dtype=float)
         if m.shape != (3, 3):
             raise BadParameter("LinearMap3 expects a 3x3 matrix")
+        if not np.all(np.isfinite(m)):
+            raise BadParameter("LinearMap3 needs finite entries")
         d = float(np.linalg.det(m))
         if abs(d) <= 1e-12:
             raise SingularMap(f"matrix is singular (det={d:g})")
@@ -157,16 +159,17 @@ def _dedup_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def _check_symmetric_vertices(verts: np.ndarray) -> None:
-    scale = np.max(np.abs(verts))
-    tol = 1e-9 * max(scale, 1.0)
-    for v in verts:
-        d = np.min(np.linalg.norm(verts + v, axis=1))
-        if d > tol:
-            raise NotSymmetric("vertex list is not closed under x -> -x")
+    tol = 1e-9 * max(np.max(np.abs(verts)), 1.0)
+    if np.max(cKDTree(verts).query(-verts)[0]) > tol:
+        raise NotSymmetric("vertex list is not closed under x -> -x")
 
 
 class SymmetricPolytope(ConvexBody3):
     """Polytope given by vertices; facets a_i.x <= 1 derived by hull duality.
+
+    The constructor checks outside input (shape, symmetry, hull, interior
+    origin).  Linear images and the polar reuse the checked parts with no new
+    hull: an invertible map keeps extreme points and commutes with x -> -x.
 
     Vertices and facets are stored in sorted (lexicographic) order so that
     tie-breaking in the boundary map is deterministic.
@@ -174,7 +177,7 @@ class SymmetricPolytope(ConvexBody3):
 
     __slots__ = ("vertices", "facets")
 
-    def __init__(self, vertices, facets=None):
+    def __init__(self, vertices):
         verts = np.array(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
             raise DegenerateBody("need a nonempty list of vertices in R^3")
@@ -185,21 +188,16 @@ class SymmetricPolytope(ConvexBody3):
             hull = ConvexHull(verts)
         except QhullError as e:
             raise DegenerateBody(f"vertices are affinely dependent: {e}") from None
-        if facets is None:
-            eq = hull.equations  # n.x + b <= 0
-            n, b = eq[:, :3], eq[:, 3]
-            if np.any(b >= -1e-12):
-                raise OriginNotInterior("origin is not interior to the hull")
-            fac = _dedup_rows(n / (-b[:, None]))
-        else:
-            fac = np.array(facets, dtype=float)
-        verts = verts[hull.vertices]  # drop non-extreme points
-        order = np.lexsort(verts.T[::-1])
-        verts = verts[order]
-        order = np.lexsort(fac.T[::-1])
-        fac = fac[order]
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "facets", fac)
+        n, b = hull.equations[:, :3], hull.equations[:, 3]  # n.x + b <= 0
+        if np.any(b >= -1e-12):
+            raise OriginNotInterior("origin is not interior to the hull")
+        self._set_parts(verts[hull.vertices], _dedup_rows(n / (-b[:, None])))  # extreme only
+
+    def _set_parts(self, verts, facets):
+        """Store checked parts, sorted; images and polars skip __init__ for it."""
+        object.__setattr__(self, "vertices", verts[np.lexsort(verts.T[::-1])])
+        object.__setattr__(self, "facets", facets[np.lexsort(facets.T[::-1])])
+        return self
 
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -215,15 +213,15 @@ class SymmetricPolytope(ConvexBody3):
         top = np.max(vals, axis=-1, keepdims=True)
         # lowest facet index among (numerically) active facets
         idx = np.argmax(vals >= top - 1e-12 * np.abs(top), axis=-1)
-        y = self.facets[idx]
-        return y / np.max(vals, axis=-1)[..., None] * 1.0  # scale to x.y = 1
+        return self.facets[idx] / top  # scale to x.y = 1
 
     def polar_body(self):
-        return SymmetricPolytope(self.facets, facets=self.vertices)
+        return object.__new__(SymmetricPolytope)._set_parts(self.facets, self.vertices)
 
     def transformed(self, A):
         A = _as_map(A)
-        return SymmetricPolytope(self.vertices @ A.matrix.T, facets=self.facets @ A.inverse)
+        parts = self.vertices @ A.matrix.T, self.facets @ A.inverse
+        return object.__new__(SymmetricPolytope)._set_parts(*parts)
 
 
 class LpBall(ConvexBody3):
@@ -498,21 +496,20 @@ def make_body(spec) -> ConvexBody3:
     kind = spec["type"]
     try:
         if kind == "polytope":
-            body = SymmetricPolytope(spec["vertices"])
+            return SymmetricPolytope(spec["vertices"])
         elif kind == "lp":
-            body = LpBall(spec["p"], spec.get("axes", (1.0, 1.0, 1.0)))
+            return LpBall(spec["p"], spec.get("axes", (1.0, 1.0, 1.0)))
         elif kind == "ellipsoid":
-            body = Ellipsoid(spec["matrix"])
+            return Ellipsoid(spec["matrix"])
         elif kind == "radial":
-            body = RadialField(spec["values"])
+            return RadialField(spec["values"])
         elif kind == "transformed":
             # .transformed keeps exact representations (polytope, ellipsoid)
-            body = make_body(spec["base"]).transformed(LinearMap3(spec["matrix"]))
+            return make_body(spec["base"]).transformed(LinearMap3(spec["matrix"]))
         else:
             raise ParseError(f"unknown body type {kind!r}")
     except KeyError as e:
         raise ParseError(f"body descriptor missing field {e}") from None
-    return body
 
 
 def gauge_radial(K: ConvexBody3, v):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -43,16 +44,26 @@ EXIT_IO = 5
 # body files
 
 
+def _finite(text):
+    """A JSON number (or NaN/Infinity constant) as a float; non-finite is a parse error."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ParseError(f"body file number {text} is not finite")
+    return x
+
+
 def parse_body_file(path):
     """Load a body descriptor (JSON) into a 3D body or a 2D polygon."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            spec = json.load(fh, parse_float=_finite, parse_int=_finite, parse_constant=_finite)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read body file {path}: {e}") from None
     if not isinstance(spec, dict):
         raise ParseError("body file must contain a JSON object")
     dim = spec.get("dim", 3)
+    if dim not in (2, 3):
+        raise ParseError(f"body file dim must be 2 or 3, got {dim!r}")
     try:
         if dim == 2:
             if "vertices" not in spec:
@@ -265,7 +276,8 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     ap.add_argument("--body", required=True, help="body descriptor JSON file")
     ap.add_argument("--grid", default="128x256", help="sphere grid, NxM")
     ap.add_argument("--out", default=None, help="report output path")
-    ap.add_argument("--n", type=int, default=9, help="sweep grid side")
+    if command == "sweep":
+        ap.add_argument("--n", type=int, default=9, help="sweep grid side")
     return ap
 
 

@@ -397,7 +397,6 @@ def _contour_angles(t: float):
 
 def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
     volK = volume(K, grid)
-    thr = 1e-9 * volK
     # keyed on the angles: t = 0 and t = 4 pi are the same point
     cache: dict[tuple, tuple] = {}
 
@@ -406,7 +405,7 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
         if key not in cache:
             v = _fgh_body(rotate(K, 0.0, *key), grid)[0]
             r = math.hypot(v[1], v[2])
-            if r < thr:
+            if r < 1e-9 * volK:
                 raise NotGeneric(
                     f"(G,H) vanishes on the contour at t = {float(t)!r}, (phi, psi) = "
                     f"{tuple(map(float, key))}, {kind}: |(G,H)| = {r / volK:.2g} |K|, "
@@ -415,35 +414,26 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
             cache[key] = (v[1], v[2])
         return cache[key]
 
-    def step(v0, v1):
-        cross = v0[0] * v1[1] - v0[1] * v1[0]
-        dot = v0[0] * v1[0] + v0[1] * v1[1]
-        return math.atan2(cross, dot)
-
     ts = list(np.linspace(0.0, 4 * PI, n_samples + 1))
     for t in ts:
         gh(t, "a base sample")
-    # adaptive bisection of long angular steps
+    # adaptive bisection of long angular steps; a pair that is not split is
+    # final, so its step goes into the total as i passes it
+    total = 0.0
+    rows = [(ts[0], *gh(ts[0]), total)]
     i = 0
     while i < len(ts) - 1:
         if len(ts) > 1 << 20:
             raise NoConvergence("contour refinement exceeded 2^20 samples")
-        d = step(gh(ts[i]), gh(ts[i + 1]))
+        v0, v = gh(ts[i]), gh(ts[i + 1])
+        d = math.atan2(v0[0] * v[1] - v0[1] * v[0], v0[0] * v[0] + v0[1] * v[1])
         if abs(d) >= 0.5 * PI and ts[i + 1] - ts[i] > 1e-12:
             ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
         else:
+            total += d
             i += 1
-    total = 0.0
-    rows = []
-    prev = None
-    for t in ts:
-        v = gh(t)
-        if prev is not None:
-            total += step(prev, v)
-        rows.append((t, v[0], v[1], total))
-        prev = v
-    w = int(round(total / (2 * PI)))
-    return WindingTrace(samples=np.array(rows), winding=w)
+            rows.append((ts[i], *v, total))
+    return WindingTrace(samples=np.array(rows), winding=int(round(total / (2 * PI))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ polar-side curve vectors, read by the library off the section polygon, are
 checked against a sampled polyline: 512 chord samples, each interval whose
 contact vertices differ bisected recursively.  The radial table's boundary
 map, whose refinement stencil the library reads off the tabulated polar, is
-checked against the same stencil evaluated by nine support passes.
+checked against the same stencil evaluated by nine support passes.  The
+polytope symmetry check, one nearest-neighbour query of the negated
+vertices, is checked against a scan of all vertex pairs.
 """
 
 from __future__ import annotations
@@ -271,6 +273,12 @@ def stencil_radial_lambda(K, pts):
     u1 = sphere_point(a1, b1)
     y = u1 / K.support_many(u1)[:, None]
     return y.reshape(pts.shape)
+
+
+def antipode_gap(verts):
+    """Largest distance from a negated vertex to its nearest vertex, by a
+    scan over all pairs."""
+    return max(float(np.min(np.linalg.norm(verts + v, axis=1))) for v in verts)
 
 
 def solid_angle(a, b, c):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import random_lp_ball, random_smooth_body, random_symmetric_polytope
+from conftest import random_lp_ball, random_smooth_body, random_symmetric_polytope, sheared_cube
 from mahlerlab import body as body_module, errors
 from mahlerlab.body import (
     Direction,
@@ -54,6 +54,33 @@ class TestConstruction:
     def test_not_symmetric_rejected(self):
         with pytest.raises(errors.NotSymmetric):
             make_body({"type": "polytope", "vertices": [[1, 0, 0], [0, 1, 0]]})
+        # the antipode tolerance is 1e-9 of the largest coordinate (here 10)
+        verts = 10.0 * cube().vertices
+        for factor, ok in ((0.5, True), (2.0, False)):
+            moved = verts.copy()
+            moved[3, 0] += factor * 1e-8
+            if ok:
+                assert len(SymmetricPolytope(moved).vertices) == 8
+            else:
+                with pytest.raises(errors.NotSymmetric):
+                    SymmetricPolytope(moved)
+
+    def test_symmetry_check_matches_pair_scan(self):
+        rng = np.random.default_rng(64)
+        for factor in (0.3, 0.9, 1.1, 3.0):
+            for _ in range(5):
+                K = random_symmetric_polytope(rng, pairs=int(rng.integers(4, 16)))
+                verts = K.vertices.copy()
+                tol = 1e-9 * max(np.max(np.abs(verts)), 1.0)
+                step = rng.standard_normal(3)
+                verts[int(rng.integers(len(verts)))] += factor * tol * step / np.linalg.norm(step)
+                rejected = oracles.antipode_gap(verts) > tol
+                assert rejected == (factor > 1.0)
+                try:
+                    body_module._check_symmetric_vertices(verts)
+                    assert not rejected
+                except errors.NotSymmetric:
+                    assert rejected
 
     def test_degenerate_rejected(self):
         with pytest.raises(errors.DegenerateBody):
@@ -381,6 +408,13 @@ class TestApplyLinear:
         with pytest.raises(errors.SingularMap):
             LinearMap3(np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(errors.BadParameter):
+            LinearMap3(m)
+
     def test_volume_product_invariance(self, grid):
         rng = np.random.default_rng(53)
         K = random_symmetric_polytope(rng, pairs=8)
@@ -388,6 +422,85 @@ class TestApplyLinear:
         p0 = volume_product(K, grid)
         p1 = volume_product(apply_linear(K, A), grid)
         assert p1 == pytest.approx(p0, rel=1e-8)
+
+
+def _lexsorted(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _polytope_images():
+    """(polytope, map) pairs: the cube, the cross-polytope, random polytopes
+    and sheared cubes, each under a random unit shear, a rotation and a
+    random map."""
+    rng = np.random.default_rng(61)
+    bodies = [cube(), cross_polytope()]
+    bodies += [random_symmetric_polytope(rng, pairs=int(rng.integers(4, 16))) for _ in range(4)]
+    bodies += [sheared_cube(rng) for _ in range(2)]
+    Rx, Ry, Rz = LinearMap3.rotation_x(0.7), LinearMap3.rotation_y(1.9), LinearMap3.rotation_z(2.6)
+    rotation = Rx.compose(Ry).compose(Rz)
+    out = []
+    for K in bodies:
+        shear = np.eye(3)
+        shear[0, 1], shear[0, 2], shear[1, 2] = rng.uniform(-0.6, 0.6, size=3)
+        out += [(K, LinearMap3(shear)), (K, rotation)]
+        out.append((K, LinearMap3(np.eye(3) + 0.4 * rng.standard_normal((3, 3)))))
+    return out
+
+
+_POLYTOPE_IMAGES = _polytope_images()
+
+
+def _assert_constructor_agrees(L):
+    """The public constructor on L's vertices finds the same vertex array and
+    the same facets within 1e-12 (as sets of rows)."""
+    R = SymmetricPolytope(L.vertices)
+    assert np.array_equal(R.vertices, L.vertices)
+    assert R.facets.shape == L.facets.shape
+    gap = np.linalg.norm(R.facets[:, None, :] - L.facets[None, :, :], axis=-1)
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12
+
+
+class TestPolytopeParts:
+    """Images and polars of a checked polytope are built from its parts."""
+
+    def test_no_hull_and_no_symmetry_scan(self, monkeypatch):
+        K = random_symmetric_polytope(np.random.default_rng(62), pairs=9)
+        A = LinearMap3(np.eye(3) + 0.3 * np.random.default_rng(63).standard_normal((3, 3)))
+        calls = {"hull": 0, "symmetry": 0}
+        hull, check = body_module.ConvexHull, body_module._check_symmetric_vertices
+
+        def counted_hull(*a, **k):
+            calls["hull"] += 1
+            return hull(*a, **k)
+
+        def counted_check(*a, **k):
+            calls["symmetry"] += 1
+            return check(*a, **k)
+
+        monkeypatch.setattr(body_module, "ConvexHull", counted_hull)
+        monkeypatch.setattr(body_module, "_check_symmetric_vertices", counted_check)
+        K.transformed(A)
+        K.polar_body()
+        assert calls == {"hull": 0, "symmetry": 0}
+        SymmetricPolytope(K.vertices)  # outside input is still checked
+        assert calls == {"hull": 1, "symmetry": 1}
+
+    @pytest.mark.parametrize("case", range(len(_POLYTOPE_IMAGES)))
+    def test_image_is_mapped_parts(self, case):
+        K, A = _POLYTOPE_IMAGES[case]
+        L = K.transformed(A)
+        assert isinstance(L, SymmetricPolytope)
+        assert np.array_equal(L.vertices, _lexsorted(K.vertices @ A.matrix.T))
+        assert np.array_equal(L.facets, _lexsorted(K.facets @ A.inverse))
+        _assert_constructor_agrees(L)
+
+    @pytest.mark.parametrize("case", range(0, len(_POLYTOPE_IMAGES), 3))
+    def test_polar_swaps_parts(self, case):
+        K = _POLYTOPE_IMAGES[case][0]
+        P = K.polar_body()
+        assert np.array_equal(P.vertices, K.facets)
+        assert np.array_equal(P.facets, K.vertices)
+        _assert_constructor_agrees(P)
 
 
 class TestMakeBodyDescriptors:

@@ -29,6 +29,27 @@ def square_file(tmp_path):
     )
 
 
+def _radial_table(bad):
+    values = np.ones((9, 8))
+    values[4] = bad
+    return {"type": "radial", "values": values.tolist()}
+
+
+# body files whose numbers are non-finite or out of range, or whose dim is neither 2 nor 3
+_MALFORMED_NUMBERS = {
+    "lp_nan_axis": json.dumps({"type": "lp", "p": 3.0, "axes": [math.nan, 1.0, 1.0]}),
+    "radial_nan_row": json.dumps(_radial_table(math.nan)),
+    "radial_inf_row": json.dumps(_radial_table(math.inf)),
+    "transformed_nan_matrix": json.dumps(
+        {"type": "transformed", "base": {"type": "lp", "p": 3.0},
+         "matrix": [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+    ),
+    "axis_1e999": '{"type": "lp", "p": 3.0, "axes": [1e999, 1.0, 1.0]}',
+    "p_400_digits": '{"type": "lp", "p": 1' + "0" * 399 + "}",
+    "dim_4": json.dumps({"type": "polytope", "dim": 4, "vertices": cube().vertices.tolist()}),
+}
+
+
 class TestExitCodes:
     def test_unknown_command(self):
         assert cli.run(["frobnicate", "--body", "x.json"]) == cli.EXIT_UNKNOWN
@@ -66,10 +87,18 @@ class TestExitCodes:
         p = square_file(tmp_path)
         assert cli.run(["verify", "--body", p, "--grid", "32x64"]) == cli.EXIT_INVALID
 
-    @pytest.mark.parametrize("option", [["--threads", "2"], ["--seed", "1"], ["--curve", "512"]])
+    @pytest.mark.parametrize(
+        "option", [["--threads", "2"], ["--seed", "1"], ["--curve", "512"], ["--n", "3"]]
+    )
     def test_removed_options(self, tmp_path, option):
         p = cube_file(tmp_path)
         assert cli.run(["vp", "--body", p, "--grid", "32x64", *option]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("case", list(_MALFORMED_NUMBERS))
+    def test_malformed_body_numbers(self, tmp_path, case):
+        p = tmp_path / "body.json"
+        p.write_text(_MALFORMED_NUMBERS[case], encoding="utf-8")
+        assert cli.run(["vp", "--body", str(p), "--grid", "16x32"]) == cli.EXIT_PARSE
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_sweep_side_below_one(self, tmp_path, n):
