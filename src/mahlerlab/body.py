@@ -167,20 +167,26 @@ def _check_symmetric_vertices(verts: np.ndarray) -> None:
 class SymmetricPolytope(ConvexBody3):
     """Polytope given by vertices; facets a_i.x <= 1 derived by hull duality.
 
-    The constructor checks outside input (shape, symmetry, hull, interior
-    origin).  Linear images and the polar reuse the checked parts with no new
-    hull: an invertible map keeps extreme points and commutes with x -> -x.
+    The constructor checks outside input (finite entries, shape, symmetry,
+    hull, interior origin).  Linear images and the polar reuse the checked
+    parts with no new hull: an invertible map keeps extreme points and
+    commutes with x -> -x.
 
     Vertices and facets are stored in sorted (lexicographic) order so that
-    tie-breaking in the boundary map is deterministic.
+    tie-breaking in the boundary map is deterministic.  `triangles` holds a
+    boundary triangulation as (T, 3) vertex indices, each triangle
+    counterclockwise seen from outside; `vertices[triangles]` is the
+    (T, 3, 3) array the cone sums of the quadrature module run over.
     """
 
-    __slots__ = ("vertices", "facets")
+    __slots__ = ("vertices", "facets", "triangles")
 
     def __init__(self, vertices):
         verts = np.array(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
             raise DegenerateBody("need a nonempty list of vertices in R^3")
+        if not np.all(np.isfinite(verts)):
+            raise DegenerateBody("vertices must be finite")
         _check_symmetric_vertices(verts)
         if len(verts) < 4:
             raise DegenerateBody("need at least 4 vertices in R^3")
@@ -191,12 +197,26 @@ class SymmetricPolytope(ConvexBody3):
         n, b = hull.equations[:, :3], hull.equations[:, 3]  # n.x + b <= 0
         if np.any(b >= -1e-12):
             raise OriginNotInterior("origin is not interior to the hull")
-        self._set_parts(verts[hull.vertices], _dedup_rows(n / (-b[:, None])))  # extreme only
+        # orient each simplex so that its right-hand normal is the facet's outward n
+        tri = verts[hull.simplices]
+        right = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        inward = np.einsum("ij,ij->i", right, n) < 0
+        simplices = np.where(inward[:, None], hull.simplices[:, ::-1], hull.simplices)
+        index = np.zeros(len(verts), dtype=np.intp)
+        index[hull.vertices] = np.arange(len(hull.vertices))  # extreme only
+        self._set_parts(
+            verts[hull.vertices], _dedup_rows(n / (-b[:, None])), index[simplices]
+        )
 
-    def _set_parts(self, verts, facets):
-        """Store checked parts, sorted; images and polars skip __init__ for it."""
-        object.__setattr__(self, "vertices", verts[np.lexsort(verts.T[::-1])])
+    def _set_parts(self, verts, facets, triangles):
+        """Store checked parts, sorted, with the triangles re-indexed to the
+        sorted vertices; images and polars skip __init__ for it."""
+        order = np.lexsort(verts.T[::-1])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        object.__setattr__(self, "vertices", verts[order])
         object.__setattr__(self, "facets", facets[np.lexsort(facets.T[::-1])])
+        object.__setattr__(self, "triangles", rank[triangles])
         return self
 
     def gauge_many(self, pts):
@@ -216,12 +236,44 @@ class SymmetricPolytope(ConvexBody3):
         return self.facets[idx] / top  # scale to x.y = 1
 
     def polar_body(self):
-        return object.__new__(SymmetricPolytope)._set_parts(self.facets, self.vertices)
+        return object.__new__(SymmetricPolytope)._set_parts(
+            self.facets, self.vertices, _polar_fans(self)
+        )
 
     def transformed(self, A):
         A = _as_map(A)
-        parts = self.vertices @ A.matrix.T, self.facets @ A.inverse
-        return object.__new__(SymmetricPolytope)._set_parts(*parts)
+        # a map with det < 0 reverses orientation; reversing each triangle keeps it outward
+        tris = self.triangles if A.det > 0 else self.triangles[:, ::-1]
+        return object.__new__(SymmetricPolytope)._set_parts(
+            self.vertices @ A.matrix.T, self.facets @ A.inverse, tris
+        )
+
+
+def _polar_fans(K: SymmetricPolytope) -> np.ndarray:
+    """Boundary triangles of polar(K) as indices into K.facets.
+
+    The polar's facet at a vertex v of K is the polygon whose corners are the
+    facets of K around v.  Each triangle of K lies on the facet its centroid
+    attains the gauge on, which gives the (vertex, facet) incidences.  Around
+    each v the facets are sorted by angle in a right-handed frame about v and
+    fanned from the first, so every fan is counterclockwise seen from outside.
+    """
+    V, F = K.vertices, K.facets
+    owner = np.argmax(V[K.triangles].sum(axis=1) @ F.T, axis=1)
+    v, f = np.unique(
+        np.column_stack([K.triangles.ravel(), np.repeat(owner, 3)]), axis=0
+    ).T
+    count = np.bincount(v, minlength=len(V))
+    centre = np.stack([np.bincount(v, F[f, k], len(V)) for k in range(3)], axis=1)
+    d = F[f] - centre[v] / count[v, None]
+    e1 = np.cross(V, np.eye(3)[np.argmin(np.abs(V), axis=1)])
+    e2 = np.cross(V, e1)  # e1 x e2 is along +v
+    angle = np.arctan2(np.einsum("ij,ij->i", d, e2[v]), np.einsum("ij,ij->i", d, e1[v]))
+    order = np.lexsort((angle, v))
+    v, f = v[order], f[order]
+    start = np.repeat(np.cumsum(count) - count, count)
+    i = np.flatnonzero((np.arange(len(v) - 1) > start[:-1]) & (v[1:] == v[:-1]))
+    return np.column_stack([f[start[i]], f[i], f[i + 1]])
 
 
 class LpBall(ConvexBody3):

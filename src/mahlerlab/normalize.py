@@ -12,8 +12,9 @@ antiderivative: the defining integrands are pi-periodic and smooth, so we
 sample them uniformly, take the Fourier antiderivative, and run safeguarded
 Newton steps on the resulting monotone function, whose derivative is the
 spectral interpolant of the samples.  This keeps every (F,G,H) evaluation
-at a couple of grid passes.  For polytopes Theta is a Brent root of the
-exact wedge volume, and Phi and Psi are closed forms on the section
+at a couple of grid passes.  For polytopes Theta is a safeguarded Newton
+root of the exact wedge volume, whose derivative comes from the same cut
+of the boundary triangles, and Phi and Psi are closed forms on the section
 polygon.
 """
 
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.spatial import ConvexHull
 
 from . import planar
 from .body import ConvexBody3, LinearMap3, SymmetricPolytope, sphere_point
@@ -34,10 +34,11 @@ from .errors import BadParameter, NoConvergence, NotGeneric, NoZeroFound
 from .quadrature import (
     GL64,
     SphereGrid,
+    _cone6,
+    _split,
     octant_volumes,
     quarter_areas,
     volume,
-    wedge_volume,
 )
 
 PI = math.pi
@@ -120,13 +121,46 @@ def _half_balance(vals: np.ndarray) -> float:
 
 
 def _theta_polytope(K: SymmetricPolytope) -> float:
-    """Exact theta balance for polytopes: Brent's method on the exact
-    halfspace wedge volume.  The wedge over [0, pi] is half of K by central
-    symmetry, so the target is a quarter of the exact hull volume."""
-    quarter = 0.25 * ConvexHull(K.vertices).volume
-    return planar.brent_root(
-        lambda b: wedge_volume(K, 0.0, b) - quarter, 1e-5, PI - 1e-5, "theta balance"
-    )
+    """Exact theta balance for polytopes: V(b) = |K ∩ {0 <= beta <= b}| = |K|/4.
+
+    The wedge over [0, pi] is half of K by central symmetry.  The upper half
+    z >= 0 of the boundary triangles is cut once; each Newton step cuts it by
+    the plane at beta = b, which gives V and V' together (_theta_wedge).  A
+    step that would leave the bracket bisects it instead, as in _half_balance,
+    and the solve ends at a step of at most 1e-15 or a residual within the
+    round-off of V."""
+    tris = K.vertices[K.triangles]
+    target = 0.25 * (float(np.sum(_cone6(tris))) / 6.0)  # a quarter of volume(K)
+    pieces, _, upper, _ = _split(tris, np.array([0.0, 0.0, 1.0]))
+    upper = pieces[upper]
+    lo, hi = 1e-5, PI - 1e-5
+    b = 0.5 * PI
+    for _ in range(16):
+        V, dV = _theta_wedge(upper, b)
+        lo, hi = (b, hi) if V < target else (lo, b)
+        nxt = b - (V - target) / dV if dV > 0 else math.nan
+        nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
+        if abs(nxt - b) <= 1e-15 or abs(V - target) <= 8 * np.finfo(float).eps * target:
+            return float(nxt)
+        b = nxt
+    raise NoConvergence("theta balance: no Newton convergence in 16 steps")
+
+
+def _theta_wedge(upper: np.ndarray, b: float):
+    """(V(b), V'(b)) from the pieces of the boundary triangles in z >= 0.
+
+    V sums the cones over the pieces with beta <= b.  Turning the half-plane
+    beta = b sweeps volume at the rate V'(b) = integral of r dA over its
+    section, r the distance from the x-axis.  By Green's theorem in the
+    half-plane coordinates (x, r) that is the sum of -r^2/2 dx over the
+    counterclockwise cut segments; the x-axis, where r = 0, adds nothing."""
+    c, s = math.cos(b), math.sin(b)
+    pieces, _, side, seg = _split(upper, np.array([0.0, -s, c]))
+    V = float(np.sum(_cone6(pieces[~side]))) / 6.0
+    x = seg[:, :, 0]
+    r = seg[:, :, 1] * c + seg[:, :, 2] * s
+    moment = (x[:, 1] - x[:, 0]) * (r[:, 0] ** 2 + r[:, 0] * r[:, 1] + r[:, 1] ** 2)
+    return V, -float(np.sum(moment)) / 6.0
 
 
 def _sector_polytope(K: SymmetricPolytope, beta: float) -> float:

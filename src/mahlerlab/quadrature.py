@@ -5,10 +5,12 @@ sin a sin b).  Grids are product Gauss-Legendre in cos(alpha) (split at
 alpha = pi/2) times midpoint in beta, so no quadrature cell straddles a
 coordinate plane and octant restrictions are exact sub-sums.
 
-Polytopes bypass quadrature: volumes by convex hulls, octant volumes by
-halfspace clipping, sections by facet duality, projections by shadow
-hulls.  That keeps the extremizer values (cube, cross-polytope) exact to
-machine precision.
+Polytopes bypass quadrature.  Volumes, octant volumes, wedges and polar
+pieces are cone sums over the boundary triangles the polytope carries: each
+cut is a plane through the origin, so a cut body is a sum of tetrahedra
+over the cut triangles.  Sections come by facet duality and projections by
+shadow hulls.  That keeps the extremizer values (cube, cross-polytope)
+exact to machine precision.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from . import planar
 from .body import ConvexBody3, SymmetricPolytope, polar, sphere_point
@@ -87,33 +88,86 @@ def make_grid(n_alpha: int, n_beta: int) -> SphereGrid:
 
 
 def volume(K: ConvexBody3, grid: SphereGrid) -> float:
-    """|K|; exact hull volume for polytopes, (1/3) sum w rho^3 otherwise."""
+    """|K|; the cone sum over the boundary triangles for polytopes,
+    (1/3) sum w rho^3 otherwise."""
     if isinstance(K, SymmetricPolytope):
-        return float(ConvexHull(K.vertices).volume)
+        return float(np.sum(_cone6(K.vertices[K.triangles]))) / 6.0
     rho = K.radial_many(grid.units)
     return float(np.sum(grid.weights * rho**3) / 3.0)
 
 
-def _cut_volume(K: SymmetricPolytope, normals: np.ndarray, u: np.ndarray) -> float:
-    """Exact |K ∩ {n.x <= 0 for each row n of normals}|; u points into the cut."""
-    half = np.hstack([K.facets, -np.ones((len(K.facets), 1))])
-    extra = np.hstack([normals, np.zeros((len(normals), 1))])
-    interior = u * (0.5 / K.gauge(u))
-    hs = HalfspaceIntersection(np.vstack([half, extra]), interior)
-    return float(ConvexHull(hs.intersections).volume)
+def _cone6(tris: np.ndarray) -> np.ndarray:
+    """det[a, b, c] per triangle of a (T, 3, 3) array: six times the signed
+    volume of the cone from the origin over it."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    return (
+        a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
+        + a[:, 1] * (b[:, 2] * c[:, 0] - b[:, 0] * c[:, 2])
+        + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    )
 
 
-def _octant_halfspace_volume(K: SymmetricPolytope, signs) -> float:
-    u = np.array(signs, dtype=float) / math.sqrt(3.0)
-    return _cut_volume(K, np.diag(-np.array(signs, dtype=float)), u)
+# per side code 4*s0 + 2*s1 + s2 of a triangle's vertices (s = 1 on the side
+# n.x > 0): the cyclic turn that puts the lone vertex first, and whether the
+# plane crosses the triangle
+_SIDE_BITS = [(c >> 2 & 1, c >> 1 & 1, c & 1) for c in range(8)]
+_LONE_FIRST = np.array(
+    [(0, 1, 2) if s1 == s2 else (1, 2, 0) if s0 == s2 else (2, 0, 1) for s0, s1, s2 in _SIDE_BITS]
+)
+_CROSSES = np.array([len(set(bits)) == 2 for bits in _SIDE_BITS])
+# the pieces (a, p, q), (p, b, c), (c, q, p) as rows of (a, b, c, p, q)
+_PIECES = np.array([0, 3, 4, 3, 1, 2, 2, 4, 3])
+_PAST_CUT = np.array([False, True, True])
+_MIDDLE = np.array([False, True, False])
+
+
+def _split(tris: np.ndarray, n: np.ndarray):
+    """Cut each triangle of a (T, 3, 3) array by the plane n.x = 0.
+
+    Returns the pieces (P, 3, 3), each with the orientation of its triangle;
+    the index of each piece's triangle; a mask of the pieces on the side
+    n.x > 0; and the (T, 2, 3) cut segments, counterclockwise about n along
+    the section of a body whose outward triangles these are.  The lone
+    vertex, whose side differs from the other two, is turned to the front as
+    a; the cut points are p on ab and q on ac, and the pieces are (a, p, q),
+    (p, b, c) and (c, q, p).  A triangle the plane does not cross has
+    p = q = a: it is kept whole as the middle piece, and its segment is
+    degenerate."""
+    pts = tris.reshape(-1, 3)
+    d = pts @ n
+    pos = d > 0
+    code = 4 * pos[0::3] + 2 * pos[1::3] + pos[2::3]
+    turn = _LONE_FIRST[code] + 3 * np.arange(len(tris))[:, None]
+    r = np.take(pts, turn, axis=0)
+    dr = np.take(d, turn)
+    lone_pos = np.take(pos, turn[:, 0])
+    cross = _CROSSES[code]
+    # the lone vertex is strictly on its side and the others are not, so
+    # neither denominator vanishes where the plane crosses
+    w = np.divide(
+        dr[:, :1], dr[:, :1] - dr[:, 1:], out=np.zeros((len(tris), 2)), where=cross[:, None]
+    )
+    pq = r[:, :1] + w[:, :, None] * (r[:, 1:] - r[:, :1])
+    keep = np.flatnonzero(cross[:, None] | _MIDDLE)
+    pieces = np.take(np.concatenate([r, pq], axis=1), _PIECES, axis=1).reshape(-1, 3, 3)
+    side = (lone_pos[:, None] ^ (cross[:, None] & _PAST_CUT)).ravel()
+    seg = np.where(lone_pos[:, None, None], pq, pq[:, ::-1])
+    return np.take(pieces, keep, axis=0), keep // 3, np.take(side, keep), seg
 
 
 def octant_volumes(K: ConvexBody3, grid: SphereGrid):
     """|Delta_i| for the eight octants, in the fixed sign-pattern order."""
     if isinstance(K, SymmetricPolytope):
+        pieces = K.vertices[K.triangles]
+        neg = np.zeros(len(pieces), dtype=np.intp)  # sign bits 4*(x<=0) + 2*(y<=0) + (z<=0)
+        for axis, bit in ((0, 4), (1, 2), (2, 1)):
+            pieces, source, side, _ = _split(pieces, np.eye(3)[axis])
+            neg = neg[source] + bit * ~side
+        ov = np.bincount(
+            _OCTANT_OF_SIGN_BITS[neg], np.abs(_cone6(pieces)) / 6.0, minlength=8
+        )
         # by central symmetry octant i + 4 is the antipode of octant (i + 2) mod 4
-        up = np.array([_octant_halfspace_volume(K, s) for s in OCTANT_SIGNS[:4]])
-        return np.concatenate([up, up[[2, 3, 0, 1]]])
+        return np.concatenate([ov[:4], ov[[2, 3, 0, 1]]])
     rho3 = K.radial_many(grid.units) ** 3 * grid.weights
     return np.array(
         [np.sum(rho3[grid.octant == i]) / 3.0 for i in range(8)]
@@ -127,10 +181,12 @@ def wedge_volume(K: SymmetricPolytope, b0: float, b1: float) -> float:
     second spherical coordinate; requires 0 <= b1 - b0 <= pi."""
     if b1 - b0 < 1e-9:
         return 0.0
-    n0 = np.array([0.0, -math.sin(b0), math.cos(b0)])  # beta >= b0
-    n1 = np.array([0.0, -math.sin(b1), math.cos(b1)])  # beta <= b1
-    m = 0.5 * (b0 + b1)
-    return _cut_volume(K, np.array([-n0, n1]), np.array([0.0, math.cos(m), math.sin(m)]))
+    n0 = np.array([0.0, -math.sin(b0), math.cos(b0)])  # beta >= b0 where n0.x > 0
+    n1 = np.array([0.0, -math.sin(b1), math.cos(b1)])  # beta <= b1 where n1.x <= 0
+    pieces, _, after0, _ = _split(K.vertices[K.triangles], n0)
+    pieces, source, after1, _ = _split(pieces, n1)
+    inside = after0[source] & ~after1
+    return float(np.sum(_cone6(pieces[inside]))) / 6.0
 
 
 # octant index by sign bits 4*(x<0) + 2*(y<0) + (z<0): the inverse of the
@@ -161,17 +217,13 @@ def polar_piece_volumes(K: ConvexBody3, grid: SphereGrid):
 def _polar_pieces(Kp: ConvexBody3, grid: SphereGrid):
     """The polar piece volumes from Kp = polar(K) alone."""
     if isinstance(Kp, SymmetricPolytope):
-        hull = ConvexHull(Kp.vertices)
-        eq = hull.equations
-        duals = eq[:, :3] / (-eq[:, 3][:, None])  # vertices of K, one per simplex
+        tris = Kp.vertices[Kp.triangles]
+        # the facet of Kp each triangle lies on, which is a vertex of K
+        duals = Kp.facets[np.argmax(tris.sum(axis=1) @ Kp.facets.T, axis=1)]
         idx, near = _classify_octants(duals)
         if near > 0:
             raise ClassificationUnstable("a vertex lies on a coordinate plane")
-        simplices = Kp.vertices[hull.simplices]  # (m,3,3)
-        vols = np.abs(np.linalg.det(simplices)) / 6.0
-        out = np.zeros(8)
-        np.add.at(out, idx, vols)
-        return out
+        return np.bincount(idx, np.abs(_cone6(tris)) / 6.0, minlength=8)
     rho = Kp.radial_many(grid.units)
     y = grid.units * rho[:, None]
     x = Kp.lambda_many(y)

@@ -14,7 +14,10 @@ contact vertices differ bisected recursively.  The radial table's boundary
 map, whose refinement stencil the library reads off the tabulated polar, is
 checked against the same stencil evaluated by nine support passes.  The
 polytope symmetry check, one nearest-neighbour query of the negated
-vertices, is checked against a scan of all vertex pairs.
+vertices, is checked against a scan of all vertex pairs.  A polytope's cone
+sums over its boundary triangles (volume, octants, wedges, polar pieces)
+are checked against qhull: the halfspace intersection of the facets with
+the cut, and the hull of the vertices.
 """
 
 from __future__ import annotations
@@ -336,3 +339,56 @@ def is_parallelepiped(K, tol=1e-5):
         if np.min(np.max(np.abs(corners - v), axis=1)) > tol * vscale:
             return False
     return True
+
+
+def qhull_cut_volume(K, normals, u):
+    """|K ∩ {n.x <= 0 for each row n of normals}| of a polytope by a qhull
+    halfspace intersection and the hull of its vertices; u points into the cut."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    half = np.hstack([K.facets, -np.ones((len(K.facets), 1))])
+    extra = np.hstack([normals, np.zeros((len(normals), 1))])
+    interior = u * (0.5 / K.gauge(u))
+    hs = HalfspaceIntersection(np.vstack([half, extra]), interior)
+    return float(ConvexHull(hs.intersections).volume)
+
+
+def qhull_volume(K):
+    """|K| of a polytope as the qhull hull volume of its vertices."""
+    from scipy.spatial import ConvexHull
+
+    return float(ConvexHull(K.vertices).volume)
+
+
+def qhull_octant_volume(K, signs):
+    """|K ∩ octant| for the octant of a sign pattern, by qhull."""
+    s = np.array(signs, dtype=float)
+    return qhull_cut_volume(K, np.diag(-s), s / math.sqrt(3.0))
+
+
+def qhull_wedge_volume(K, b0, b1):
+    """|K ∩ {b0 <= beta <= b1}|, beta the angle around the x-axis, by qhull;
+    needs 0 < b1 - b0 <= pi."""
+    n0 = np.array([0.0, -math.sin(b0), math.cos(b0)])
+    n1 = np.array([0.0, -math.sin(b1), math.cos(b1)])
+    m = 0.5 * (b0 + b1)
+    return qhull_cut_volume(K, np.array([-n0, n1]), np.array([0.0, math.cos(m), math.sin(m)]))
+
+
+def qhull_polar_pieces(Kp):
+    """|K°_i| of a polytope from Kp = polar(K) by a qhull hull of Kp's
+    vertices: each simplex's cone goes to the octant of its facet's dual,
+    a vertex of K."""
+    from scipy.spatial import ConvexHull
+
+    from mahlerlab.errors import ClassificationUnstable
+    from mahlerlab.quadrature import _classify_octants
+
+    hull = ConvexHull(Kp.vertices)
+    eq = hull.equations
+    idx, near = _classify_octants(eq[:, :3] / (-eq[:, 3][:, None]))
+    if near > 0:
+        raise ClassificationUnstable("a vertex lies on a coordinate plane")
+    out = np.zeros(8)
+    np.add.at(out, idx, np.abs(np.linalg.det(Kp.vertices[hull.simplices])) / 6.0)
+    return out

@@ -92,6 +92,7 @@ class TestLowerBound:
         assert violations == []
 
 
+@pytest.mark.slow
 class TestNormalizationCertificate:
     def test_smooth_bodies(self, grid):
         rng = np.random.default_rng(77)

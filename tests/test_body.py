@@ -88,6 +88,13 @@ class TestConstruction:
         with pytest.raises(errors.DegenerateBody):
             LpBall(3.0, (1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = cube().vertices.copy()
+        verts[0, 1] = bad
+        with pytest.raises(errors.DegenerateBody):
+            SymmetricPolytope(verts)
+
     def test_bad_exponent_rejected(self):
         with pytest.raises(errors.BadParameter):
             LpBall(1.0)
@@ -484,6 +491,19 @@ class TestPolytopeParts:
         assert calls == {"hull": 0, "symmetry": 0}
         SymmetricPolytope(K.vertices)  # outside input is still checked
         assert calls == {"hull": 1, "symmetry": 1}
+
+    @pytest.mark.parametrize("case", range(0, len(_POLYTOPE_IMAGES), 2))
+    def test_triangles_are_outward(self, case):
+        """Constructed, mapped (det of either sign) and polar triangulations
+        are outward and tile the boundary: their cones sum to the hull volume."""
+        K, A = _POLYTOPE_IMAGES[case]
+        flip = LinearMap3(np.diag([1.0, -1.0, 1.0]))
+        for L in (K, K.transformed(A), K.transformed(flip.compose(A)), K.polar_body(), polar(K).transformed(flip)):
+            tri = L.vertices[L.triangles]
+            cones = np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
+            assert np.all(cones > 0)
+            vol = oracles.qhull_volume(L)
+            assert abs(np.sum(cones) / 6.0 - vol) <= 1e-12 * vol
 
     @pytest.mark.parametrize("case", range(len(_POLYTOPE_IMAGES)))
     def test_image_is_mapped_parts(self, case):

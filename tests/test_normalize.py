@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
-from mahlerlab import bound2d, errors, normalize, planar
+from mahlerlab import bound2d, errors, normalize, planar, quadrature
 from mahlerlab.bound2d import normalize2
 from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, cross_polytope, cube
 from mahlerlab.normalize import (
@@ -119,7 +119,7 @@ class TestPolytopeSolvers:
 
     def test_solver_call_counts(self, monkeypatch):
         calls = {}
-        for module, name in ((normalize, "wedge_volume"), (planar, "clip_halfplane")):
+        for module, name in ((normalize, "_theta_wedge"), (planar, "clip_halfplane")):
             fn = getattr(module, name)
 
             def counted(*a, _fn=fn, _name=name, **kw):
@@ -131,15 +131,37 @@ class TestPolytopeSolvers:
             K = rotate(POLYTOPES[name](), 0.0, 1.0, 2.0)
             calls.clear()
             normalize._theta_polytope(K)
-            assert calls["wedge_volume"] <= 15
+            assert calls["_theta_wedge"] <= 8
             calls.clear()
             normalize._sector_polytope(K, 0.7)
             assert calls == {"clip_halfplane": 1}
 
     def test_theta_without_sign_change_is_no_convergence(self, monkeypatch):
-        monkeypatch.setattr(normalize, "wedge_volume", lambda K, b0, b1: 1.0)
+        monkeypatch.setattr(normalize, "_theta_wedge", lambda upper, b: (1.0, 1.0))
         with pytest.raises(errors.NoConvergence):
             normalize._theta_polytope(cube())
+
+    def test_wedge_rate_is_section_moment(self):
+        # V'(b) from the cut segments against a central difference of the wedge volume
+        K = rotate(POLYTOPES["random1"](), 0.0, 1.0, 2.0)
+        pieces, _, upper, _ = quadrature._split(K.vertices[K.triangles], np.array([0.0, 0.0, 1.0]))
+        for b in (0.3, 1.1, 2.5):
+            V, dV = normalize._theta_wedge(pieces[upper], b)
+            assert V == pytest.approx(wedge_volume(K, 0.0, b), rel=1e-13)
+            h = 1e-6
+            fd = (wedge_volume(K, 0.0, b + h) - wedge_volume(K, 0.0, b - h)) / (2 * h)
+            assert dV == pytest.approx(fd, rel=1e-7)
+
+    def test_no_qhull_in_the_polytope_field(self, grid, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("qhull called")
+
+        for module in (quadrature, normalize):
+            for name in ("ConvexHull", "HalfspaceIntersection"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        L = rotate(POLYTOPES["random1"](), 0.4, 1.0, 2.0)
+        v, ang, *_ = normalize._fgh_body(L, grid)
+        assert np.all(np.isfinite(v)) and 0.0 < ang.theta_cap < PI
 
 
 SMOOTH = {

@@ -32,6 +32,8 @@ from mahlerlab.quadrature import (
     wedge_volume,
 )
 from mahlerlab import planar, quadrature
+from mahlerlab.normalize import rotate
+from test_normalize import POLYTOPES, ROTATIONS
 
 FOUR_PI = 4.0 * math.pi
 
@@ -132,22 +134,12 @@ class TestOctantVolumes:
         qu = octant_volumes(TransformedBody(K, LinearMap3.identity()), fine_grid)
         assert np.allclose(ex, qu, rtol=5e-3)
 
-    def test_polytope_cuts_upper_octants_only(self, grid, monkeypatch):
-        calls = []
-        cut = quadrature._cut_volume
-
-        def counted(K, normals, u):
-            calls.append(u)
-            return cut(K, normals, u)
-
-        monkeypatch.setattr(quadrature, "_cut_volume", counted)
+    def test_polytope_cuts_upper_octants_only(self, grid):
         K = random_symmetric_polytope(np.random.default_rng(9), 12)
         ov = octant_volumes(K, grid)
-        assert len(calls) == 4
-        assert np.all(np.array(calls)[:, 2] > 0)
         assert ov[4:].tobytes() == ov[[2, 3, 0, 1]].tobytes()
         # the mirrored lower octants are the ones a direct cut measures
-        lower = [quadrature._octant_halfspace_volume(K, s) for s in quadrature.OCTANT_SIGNS[4:]]
+        lower = [oracles.qhull_octant_volume(K, s) for s in OCTANT_SIGNS[4:]]
         assert np.allclose(ov[4:], lower, rtol=1e-13, atol=0.0)
 
     def test_partition(self, grid):
@@ -179,6 +171,49 @@ class TestWedgeVolume:
         assert wedge_volume(K, 0.0, math.pi) == pytest.approx(
             volume(K, grid) / 2.0, rel=1e-10
         )
+
+
+def _cone_sum_bodies():
+    """The cube (four facets parallel to the wedge axis), the cross-polytope
+    (vertices on the coordinate planes), a cube under a map with det < 0, and
+    the rotated polytopes of the solver tests."""
+    flip = LinearMap3([[1.0, 0.4, 0.2], [0.0, 1.0, 0.3], [0.0, 0.0, -1.0]])
+    bodies = {"cube": cube(), "cross": cross_polytope(), "cube_det_neg": cube().transformed(flip)}
+    for name in sorted(POLYTOPES):
+        for phi, psi in ROTATIONS:
+            bodies[f"{name}@{phi:.3g},{psi:.3g}"] = rotate(POLYTOPES[name](), 0.0, phi, psi)
+    return bodies
+
+
+_CONE_SUM_BODIES = _cone_sum_bodies()
+
+
+class TestConeSumsMatchQhull:
+    """Volume, octants, wedges and polar pieces of a polytope from its
+    boundary triangles agree with qhull to 1e-12 of the volume."""
+
+    @pytest.mark.parametrize("name", sorted(_CONE_SUM_BODIES))
+    def test_volume_octants_wedges(self, grid, name):
+        K = _CONE_SUM_BODIES[name]
+        vol = oracles.qhull_volume(K)
+        assert abs(volume(K, grid) - vol) <= 1e-12 * vol
+        want = [oracles.qhull_octant_volume(K, s) for s in OCTANT_SIGNS]
+        assert np.max(np.abs(octant_volumes(K, grid) - want)) <= 1e-12 * vol
+        for b0, b1 in ((0.0, 1e-5), (0.0, math.pi - 1e-5), (0.0, 0.5 * math.pi), (0.3, 2.9), (1.0, math.pi)):
+            got = wedge_volume(K, b0, b1)
+            assert abs(got - oracles.qhull_wedge_volume(K, b0, b1)) <= 1e-12 * vol
+
+    @pytest.mark.parametrize("name", sorted(_CONE_SUM_BODIES))
+    def test_polar_pieces(self, grid, name):
+        K = _CONE_SUM_BODIES[name]
+        try:
+            want = oracles.qhull_polar_pieces(polar(K))
+        except errors.ClassificationUnstable:
+            with pytest.raises(errors.ClassificationUnstable):
+                polar_piece_volumes(K, grid)
+            return
+        vol_p = oracles.qhull_volume(polar(K))
+        assert np.max(np.abs(polar_piece_volumes(K, grid) - want)) <= 1e-12 * vol_p
 
 
 class TestPolarPieces:
