@@ -84,22 +84,30 @@ class LinearMap3:
 
     @staticmethod
     def rotation_x(t):
-        c, s = math.cos(t), math.sin(t)
-        return LinearMap3([[1, 0, 0], [0, c, -s], [0, s, c]])
+        return LinearMap3(_rotation(0, t))
 
     @staticmethod
     def rotation_y(t):
-        c, s = math.cos(t), math.sin(t)
-        return LinearMap3([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+        return LinearMap3(_rotation(1, t))
 
     @staticmethod
     def rotation_z(t):
-        c, s = math.cos(t), math.sin(t)
-        return LinearMap3([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+        return LinearMap3(_rotation(2, t))
 
     def compose(self, other: "LinearMap3") -> "LinearMap3":
         """self after other (matrix product self.matrix @ other.matrix)."""
         return LinearMap3(self.matrix @ other.matrix)
+
+
+def _rotation(axis: int, t: float) -> np.ndarray:
+    """The matrix of the rotation by t about coordinate axis 0, 1 or 2,
+    counterclockwise seen from the positive end of the axis."""
+    c, s = math.cos(t), math.sin(t)
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    m = np.eye(3)
+    m[j, j] = m[k, k] = c
+    m[j, k], m[k, j] = -s, s
+    return m
 
 
 def _as_map(A) -> LinearMap3:

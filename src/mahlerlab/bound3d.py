@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import planar
 from .body import ConvexBody3, SymmetricPolytope, polar
 from .errors import MembershipViolated, SingularFace
 from .normalize import _condition_residuals
@@ -17,6 +16,8 @@ from .quadrature import (
     GL64,
     SphereGrid,
     _polar_pieces,
+    _section_segments,
+    _section_vertices,
     octant_volumes,
     plane_measures,
     quarter_areas,
@@ -61,11 +62,12 @@ def _dual_polyline_polytope(K: SymmetricPolytope, P, Q) -> np.ndarray:
     in order (consecutive repeats add nothing to the cross sum)."""
     e1 = P / np.linalg.norm(P)
     e2 = Q - (Q @ e1) * e1
-    E = np.array([e1, e2 / np.linalg.norm(e2)])
-    poly = planar.halfspaces_to_polygon(K.facets @ E.T)
+    e2 = e2 / np.linalg.norm(e2)
+    F = np.array([e1, e2, np.cross(e1, e2)])
+    poly = _section_vertices(_section_segments(K, F))
     ang = np.arctan2(poly[:, 1], poly[:, 0])
-    inner = (ang > 0.0) & (ang < math.atan2(Q @ E[1], Q @ E[0]))
-    arc = np.vstack([P, poly[inner][np.argsort(ang[inner])] @ E, Q])
+    inner = (ang > 0.0) & (ang < math.atan2(Q @ e2, Q @ e1))
+    arc = np.vstack([P, poly[inner] @ F[:2], Q])
     return K.lambda_many(np.vstack([P, 0.5 * (arc[:-1] + arc[1:]), Q]))
 
 

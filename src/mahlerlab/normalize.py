@@ -14,8 +14,10 @@ Newton steps on the resulting monotone function, whose derivative is the
 spectral interpolant of the samples.  This keeps every (F,G,H) evaluation
 at a couple of grid passes.  For polytopes Theta is a safeguarded Newton
 root of the exact wedge volume, whose derivative comes from the same cut
-of the boundary triangles, and Phi and Psi are closed forms on the section
-polygon.
+of the boundary triangles.  Phi and Psi are closed forms on the cut
+segments of the half-sections: Theta's solve cuts the triangles at z = 0,
+which gives the beta = 0 section, and keeps their upper halves, whose one
+cut at beta = Theta gives the half-section there.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import planar
-from .body import ConvexBody3, LinearMap3, SymmetricPolytope, sphere_point
+from .body import ConvexBody3, LinearMap3, SymmetricPolytope, _rotation, sphere_point
 from .errors import BadParameter, NoConvergence, NotGeneric, NoZeroFound
 from .quadrature import (
     GL64,
     SphereGrid,
+    _clip_segments,
     _cone6,
     _split,
     octant_volumes,
@@ -120,7 +123,7 @@ def _half_balance(vals: np.ndarray) -> float:
 # balance angles and shear
 
 
-def _theta_polytope(K: SymmetricPolytope) -> float:
+def _theta_polytope(K: SymmetricPolytope):
     """Exact theta balance for polytopes: V(b) = |K ∩ {0 <= beta <= b}| = |K|/4.
 
     The wedge over [0, pi] is half of K by central symmetry.  The upper half
@@ -128,10 +131,13 @@ def _theta_polytope(K: SymmetricPolytope) -> float:
     the plane at beta = b, which gives V and V' together (_theta_wedge).  A
     step that would leave the bracket bisects it instead, as in _half_balance,
     and the solve ends at a step of at most 1e-15 or a residual within the
-    round-off of V."""
+    round-off of V.
+
+    Returns (Theta, the upper pieces, the cut segments of the plane z = 0),
+    from which balance_angles takes the half-sections of Phi and Psi."""
     tris = K.vertices[K.triangles]
     target = 0.25 * (float(np.sum(_cone6(tris))) / 6.0)  # a quarter of volume(K)
-    pieces, _, upper, _ = _split(tris, np.array([0.0, 0.0, 1.0]))
+    pieces, _, upper, zseg = _split(tris, np.array([0.0, 0.0, 1.0]))
     upper = pieces[upper]
     lo, hi = 1e-5, PI - 1e-5
     b = 0.5 * PI
@@ -141,7 +147,7 @@ def _theta_polytope(K: SymmetricPolytope) -> float:
         nxt = b - (V - target) / dV if dV > 0 else math.nan
         nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
         if abs(nxt - b) <= 1e-15 or abs(V - target) <= 8 * np.finfo(float).eps * target:
-            return float(nxt)
+            return float(nxt), upper, zseg
         b = nxt
     raise NoConvergence("theta balance: no Newton convergence in 16 steps")
 
@@ -163,27 +169,27 @@ def _theta_wedge(upper: np.ndarray, b: float):
     return V, -float(np.sum(moment)) / 6.0
 
 
-def _sector_polytope(K: SymmetricPolytope, beta: float) -> float:
+def _sector_polytope(seg: np.ndarray, beta: float) -> float:
     """Exact circle balance for polytopes: the in-plane angle splitting the
     upper half of the central section (plane through the x-axis at angle
     beta) into equal areas, in closed form.
 
-    The upper half is fanned from the origin in angular order; the split
-    point lies on the outer edge of the triangle holding half the area, at
-    the linear fraction of that triangle's area still to cover."""
-    w = np.array([0.0, math.cos(beta), math.sin(beta)])
-    normals = np.column_stack([K.facets[:, 0], K.facets @ w])
-    poly = planar.halfspaces_to_polygon(normals)
-    upper = planar.clip_halfplane(poly, (0.0, -1.0), 0.0)
-    target = 0.5 * planar.shoelace(upper)
-    # the x-axis crossings may carry y = -0.0 or -1e-16 from round-off, which
+    seg holds the (S, 2, 3) cut segments of that section.  In the in-plane
+    coordinates (x, r) they are clipped to the upper half r >= 0 and fanned
+    from the origin in angular order; the split point lies on the segment
+    whose cone holds half the area, at the linear fraction of that cone's
+    area still to cover."""
+    E = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(beta), math.sin(beta)]])
+    half = _clip_segments(seg @ E.T, (0.0, 1.0))
+    # the x-axis crossings may carry r = -0.0 or -1e-16 from round-off, which
     # would give the -x crossing the angle -pi and start the fan there
-    upper[:, 1] = np.where(upper[:, 1] > 0.0, upper[:, 1], 0.0)
-    fan = upper[np.argsort(np.arctan2(upper[:, 1], upper[:, 0]))]
-    p, q = fan[:-1], fan[1:]
+    half[:, :, 1] = np.where(half[:, :, 1] > 0.0, half[:, :, 1], 0.0)
+    half = half[np.argsort(np.arctan2(half[:, 0, 1], half[:, 0, 0]))]
+    p, q = half[:, 0], half[:, 1]
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))])
-    # the first triangle whose end reaches the target; cum[k] < target there,
-    # so the zero-area triangle between duplicate vertices is never picked
+    target = 0.5 * cum[-1]
+    # the first cone whose end reaches the target; cum[k] < target there, so
+    # a degenerate segment, whose cone has no area, is never picked
     k = int(np.argmax(cum[1:] >= target))
     t = (target - cum[k]) / (cum[k + 1] - cum[k])
     x, y = p[k] + t * (q[k] - p[k])
@@ -192,7 +198,7 @@ def _sector_polytope(K: SymmetricPolytope, beta: float) -> float:
 
 def _theta_only(K: ConvexBody3, grid: SphereGrid) -> float:
     if isinstance(K, SymmetricPolytope):
-        return _theta_polytope(K)
+        return _theta_polytope(K)[0]
     m = grid.n_beta  # samples of the pi-periodic beta profile
     betas = np.arange(m) * (PI / m)
     dirs = sphere_point(grid.alpha[:, None], betas[None, :])
@@ -202,8 +208,6 @@ def _theta_only(K: ConvexBody3, grid: SphereGrid) -> float:
 
 
 def _circle_balance(K: ConvexBody3, beta: float, grid: SphereGrid) -> float:
-    if isinstance(K, SymmetricPolytope):
-        return _sector_polytope(K, beta)
     m = 4 * max(grid.n_beta, 2 * grid.n_alpha)
     alphas = np.arange(m) * (PI / m)
     rho = K.radial_many(sphere_point(alphas, np.full(m, beta)))
@@ -211,6 +215,11 @@ def _circle_balance(K: ConvexBody3, beta: float, grid: SphereGrid) -> float:
 
 
 def balance_angles(K: ConvexBody3, grid: SphereGrid) -> BalanceAngles:
+    if isinstance(K, SymmetricPolytope):
+        theta, upper, zseg = _theta_polytope(K)
+        # the upper pieces cut at beta = Theta leave the half-section r >= 0
+        seg = _split(upper, np.array([0.0, -math.sin(theta), math.cos(theta)]))[3]
+        return BalanceAngles(theta, _sector_polytope(zseg, 0.0), _sector_polytope(seg, theta))
     theta = _theta_only(K, grid)
     phi = _circle_balance(K, 0.0, grid)
     psi = _circle_balance(K, theta, grid)
@@ -259,12 +268,8 @@ def shear(K: ConvexBody3, grid: SphereGrid) -> LinearMap3:
 
 def rotate(K: ConvexBody3, theta: float, phi: float, psi: float) -> ConvexBody3:
     """X(theta) Y(phi) Z(psi) K."""
-    R = (
-        LinearMap3.rotation_x(theta)
-        .compose(LinearMap3.rotation_y(phi))
-        .compose(LinearMap3.rotation_z(psi))
-    )
-    return K.transformed(R)
+    R = (_rotation(0, theta) @ _rotation(1, phi)) @ _rotation(2, psi)
+    return K.transformed(LinearMap3(R))
 
 
 # ---------------------------------------------------------------------------

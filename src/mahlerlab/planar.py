@@ -1,5 +1,6 @@
-"""Small exact 2D kernel: shoelace areas, halfplane clipping, hull duality,
-and the Brent root solve shared by the angle and rotation solvers."""
+"""Small exact 2D kernel: shoelace areas, halfplane clipping, edge duals,
+convex hulls, and the Brent root solve shared by the angle and rotation
+solvers."""
 
 from __future__ import annotations
 
@@ -72,23 +73,6 @@ def dual_vertices2(p, q) -> np.ndarray:
 def dual_vertex2(p, q):
     """The point v with v.p = v.q = 1."""
     return dual_vertices2(p, q)[0]
-
-
-def halfspaces_to_polygon(normals: np.ndarray) -> np.ndarray:
-    """Vertices (ccw) of {p : a.p <= 1 for each row a}, origin interior.
-
-    Uses polar duality: the region is the polar of conv{a_i}, so its
-    vertices are the edge duals of that hull, which keeps everything exact.
-    """
-    a = np.asarray(normals, dtype=float)
-    scale = np.max(np.abs(a))
-    a = a[np.linalg.norm(a, axis=1) > 1e-12 * scale]
-    hull = ConvexHull(a)
-    cyc = hull.vertices  # ccw order
-    poly = dual_vertices2(a[cyc], a[np.roll(cyc, -1)])
-    if shoelace(poly) < 0:
-        poly = poly[::-1]
-    return poly
 
 
 def hull2(points: np.ndarray) -> np.ndarray:

@@ -8,9 +8,10 @@ coordinate plane and octant restrictions are exact sub-sums.
 Polytopes bypass quadrature.  Volumes, octant volumes, wedges and polar
 pieces are cone sums over the boundary triangles the polytope carries: each
 cut is a plane through the origin, so a cut body is a sum of tetrahedra
-over the cut triangles.  Sections come by facet duality and projections by
-shadow hulls.  That keeps the extremizer values (cube, cross-polytope)
-exact to machine precision.
+over the cut triangles.  A central section is bounded by the segments the
+same cut leaves on the triangles, and each of its cones from the origin is a
+fan sum over those segments; projections come by shadow hulls.  That keeps
+the extremizer values (cube, cross-polytope) exact to machine precision.
 """
 
 from __future__ import annotations
@@ -256,10 +257,58 @@ def circle_dirs(plane: int, t):
     return out
 
 
+# the right-handed frame (u, v, n) of each central plane as the rows of a
+# matrix: the in-plane axes, then the normal
+_PLANE_FRAMES = {p: np.eye(3)[[j, k, p - 1]] for p, (j, k) in _PLANE_COORDS.items()}
+
+
+def _section_segments(K: SymmetricPolytope, F: np.ndarray) -> np.ndarray:
+    """The (T, 2, 2) cut segments of the central section of K by the plane
+    of the right-handed orthonormal frame F (rows u, v, n), in the in-plane
+    coordinates (u.x, v.x) and counterclockwise there.  An uncrossed
+    triangle gives a degenerate segment."""
+    return _split(K.vertices[K.triangles], F[2])[3] @ F[:2].T
+
+
+def _coordinate_sections(K: SymmetricPolytope) -> np.ndarray:
+    """(3, T, 2, 2): the cut segments of the planes 1, 2, 3."""
+    return np.stack([_section_segments(K, _PLANE_FRAMES[p]) for p in (1, 2, 3)])
+
+
+def _clip_segments(seg: np.ndarray, m) -> np.ndarray:
+    """The part m.p >= 0 of each (u, v) segment of a (..., 2, 2) array, the
+    line m.p = 0 through the origin; a segment wholly outside shrinks to the
+    origin.  The cone from the origin over a segment, cut by the half-plane,
+    is the cone over the clipped segment."""
+    d = seg @ np.asarray(m, dtype=float)
+    p, q = seg[..., 0, :], seg[..., 1, :]
+    p_in, q_in = d[..., :1] >= 0.0, d[..., 1:] >= 0.0
+    w = np.zeros(p_in.shape)
+    np.divide(d[..., :1], d[..., :1] - d[..., 1:], out=w, where=p_in != q_in)
+    x = np.where(p_in | q_in, p + w * (q - p), 0.0)
+    return np.stack([np.where(p_in, p, x), np.where(q_in, q, x)], axis=-2)
+
+
+def _fan_area(seg: np.ndarray):
+    """(1/2) sum of p x q over the (u, v) segments of a (..., S, 2, 2) array:
+    the signed area of the cones from the origin over them."""
+    return 0.5 * np.sum(seg[..., 0, 0] * seg[..., 1, 1] - seg[..., 0, 1] * seg[..., 1, 0], axis=-1)
+
+
+def _section_vertices(seg: np.ndarray) -> np.ndarray:
+    """The start points of the non-degenerate (u, v) segments, sorted by
+    angle: the section polygon, counterclockwise."""
+    p = seg[np.any(seg[:, 0] != seg[:, 1], axis=1), 0]
+    return p[np.argsort(np.arctan2(p[:, 1], p[:, 0]))]
+
+
 def section_polygon(K: SymmetricPolytope, plane: int) -> np.ndarray:
-    """Exact polygon (in-plane coords, ccw) of K cut by a coordinate plane."""
-    j, k = _PLANE_COORDS[plane]
-    return planar.halfspaces_to_polygon(K.facets[:, [j, k]])
+    """Exact polygon (in-plane coords, ccw) of K cut by a coordinate plane.
+
+    Its vertices are where the plane cuts the boundary triangles, so a
+    collinear vertex appears where the plane crosses a diagonal that the
+    triangulation draws inside a facet."""
+    return _section_vertices(_section_segments(K, _PLANE_FRAMES[plane]))
 
 
 def projection_polygon(K: SymmetricPolytope, plane: int) -> np.ndarray:
@@ -289,9 +338,7 @@ def _projection_area_quad(K: ConvexBody3, plane: int) -> float:
 def plane_measures(K: ConvexBody3, grid: SphereGrid):
     """(Q, Pproj): central section areas and orthogonal shadow areas."""
     if isinstance(K, SymmetricPolytope):
-        Q = np.array(
-            [abs(planar.shoelace(section_polygon(K, p))) for p in (1, 2, 3)]
-        )
+        Q = _fan_area(_coordinate_sections(K))
         P = np.array(
             [abs(planar.shoelace(projection_polygon(K, p))) for p in (1, 2, 3)]
         )
@@ -325,13 +372,12 @@ def _arc_area(K: ConvexBody3, plane: int, t0: float, t1: float) -> float:
 def quarter_areas(K: ConvexBody3) -> np.ndarray:
     """(|O*d|, |O*e|, |O*f|, |O*g|, |O*h|, |O*i|)."""
     if isinstance(K, SymmetricPolytope):
-        sections = {p: section_polygon(K, p) for p in (1, 2, 3)}
-        return np.array(
-            [
-                abs(planar.shoelace(planar.clip_quadrant(sections[p], s0, s1)))
-                for p, s0, s1 in _QUARTERS
-            ]
-        )
+        # the halves v >= 0 of the three sections, then their quadrants
+        # u >= 0 and u <= 0, in the order of _QUARTERS
+        upper = _clip_segments(_coordinate_sections(K), (0.0, 1.0))
+        right = _fan_area(_clip_segments(upper, (1.0, 0.0)))
+        left = _fan_area(_clip_segments(upper, (-1.0, 0.0)))
+        return np.column_stack([right, left]).ravel()
     arcs = {1: (0.0, 0.5 * math.pi), -1: (0.5 * math.pi, math.pi)}
     return np.array([_arc_area(K, p, *arcs[s0]) for p, s0, _ in _QUARTERS])
 

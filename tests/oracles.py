@@ -17,7 +17,10 @@ polytope symmetry check, one nearest-neighbour query of the negated
 vertices, is checked against a scan of all vertex pairs.  A polytope's cone
 sums over its boundary triangles (volume, octants, wedges, polar pieces)
 are checked against qhull: the halfspace intersection of the facets with
-the cut, and the hull of the vertices.
+the cut, and the hull of the vertices.  Its central sections, which the
+library takes from the cut segments of the same triangles, are checked
+against facet duality: the 2-D hull of the facet normals restricted to the
+plane, whose edge duals are the section's vertices.
 """
 
 from __future__ import annotations
@@ -129,15 +132,69 @@ def bisect_theta_polytope(K):
     return bisect(lambda b: wedge_volume(K, 0.0, b) < 0.5 * upper, 1e-5, math.pi - 1e-5, 60)
 
 
+def halfspaces_to_polygon(normals):
+    """Vertices (ccw) of {p : a.p <= 1 for each row a}, origin interior.
+
+    Uses polar duality: the region is the polar of conv{a_i}, so its
+    vertices are the edge duals of that hull (a 2-D qhull)."""
+    from scipy.spatial import ConvexHull
+
+    from mahlerlab import planar
+
+    a = np.asarray(normals, dtype=float)
+    scale = np.max(np.abs(a))
+    a = a[np.linalg.norm(a, axis=1) > 1e-12 * scale]
+    cyc = ConvexHull(a).vertices  # ccw order
+    poly = planar.dual_vertices2(a[cyc], a[np.roll(cyc, -1)])
+    if planar.shoelace(poly) < 0:
+        poly = poly[::-1]
+    return poly
+
+
+def hull_section_polygon(K, plane):
+    """The section of a polytope by a coordinate plane (1: x = 0, 2: y = 0,
+    3: z = 0) by facet duality, in the in-plane coordinates of
+    quadrature.section_polygon."""
+    j, k = {1: (1, 2), 2: (2, 0), 3: (0, 1)}[plane]
+    return halfspaces_to_polygon(K.facets[:, [j, k]])
+
+
+def _upper_half_section(K, beta):
+    """The half r >= 0 of the section by the plane through the x-axis at
+    angle beta, in the in-plane coordinates (x, r), by facet duality."""
+    from mahlerlab import planar
+
+    w = np.array([0.0, math.cos(beta), math.sin(beta)])
+    poly = halfspaces_to_polygon(np.column_stack([K.facets[:, 0], K.facets @ w]))
+    return planar.clip_halfplane(poly, (0.0, -1.0), 0.0)
+
+
+def hull_sector_polytope(K, beta):
+    """Half-area angle of the upper central section at beta, in closed form
+    on the facet-duality polygon: fanned from the origin in angular order,
+    the split point lies on the outer edge of the triangle holding half the
+    area, at the linear fraction of that triangle's area still to cover."""
+    from mahlerlab import planar
+
+    upper = _upper_half_section(K, beta)
+    target = 0.5 * planar.shoelace(upper)
+    # an x-axis crossing with y = -0.0 would get the angle -pi
+    upper[:, 1] = np.where(upper[:, 1] > 0.0, upper[:, 1], 0.0)
+    fan = upper[np.argsort(np.arctan2(upper[:, 1], upper[:, 0]))]
+    p, q = fan[:-1], fan[1:]
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))])
+    k = int(np.argmax(cum[1:] >= target))
+    t = (target - cum[k]) / (cum[k + 1] - cum[k])
+    x, y = p[k] + t * (q[k] - p[k])
+    return min(max(math.atan2(y, x), 1e-5), math.pi - 1e-5)
+
+
 def bisect_sector_polytope(K, beta):
     """Half-area angle of the upper central section at beta by 60 halvings
     on clipped-polygon areas."""
     from mahlerlab import planar
 
-    w = np.array([0.0, math.cos(beta), math.sin(beta)])
-    normals = np.column_stack([K.facets[:, 0], K.facets @ w])
-    poly = planar.halfspaces_to_polygon(normals)
-    upper = planar.clip_halfplane(poly, (0.0, -1.0), 0.0)
+    upper = _upper_half_section(K, beta)
     target = 0.5 * planar.shoelace(upper)
 
     def sector(phi):

@@ -117,24 +117,35 @@ class TestPolytopeSolvers:
             assert abs(ang.phi_cap - oracles.bisect_sector_polytope(K, 0.0)) <= 1e-12
             assert abs(ang.psi_cap - oracles.bisect_sector_polytope(K, theta)) <= 1e-12
 
-    def test_solver_call_counts(self, monkeypatch):
+    def test_solver_call_counts(self, grid, monkeypatch):
+        # Phi and Psi take their half-sections from the cuts of the Theta
+        # solve: one more cut of the boundary triangles, and no 2-D polygon
         calls = {}
-        for module, name in ((normalize, "_theta_wedge"), (planar, "clip_halfplane")):
-            fn = getattr(module, name)
+        for name in ("_theta_wedge", "_split"):
+            fn = getattr(normalize, name)
 
             def counted(*a, _fn=fn, _name=name, **kw):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*a, **kw)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(normalize, name, counted)
+
+        def refuse(*a, **kw):
+            raise AssertionError("2-D polygon clipped")
+
+        monkeypatch.setattr(planar, "clip_halfplane", refuse)
+        assert not hasattr(planar, "halfspaces_to_polygon")
         for name in sorted(POLYTOPES):
             K = rotate(POLYTOPES[name](), 0.0, 1.0, 2.0)
             calls.clear()
             normalize._theta_polytope(K)
             assert calls["_theta_wedge"] <= 8
+            # the cut at z = 0 and one per Newton pass
+            theta_cuts = calls["_split"]
+            assert theta_cuts == calls["_theta_wedge"] + 1
             calls.clear()
-            normalize._sector_polytope(K, 0.7)
-            assert calls == {"clip_halfplane": 1}
+            balance_angles(K, grid)
+            assert calls["_split"] <= theta_cuts + 1
 
     def test_theta_without_sign_change_is_no_convergence(self, monkeypatch):
         monkeypatch.setattr(normalize, "_theta_wedge", lambda upper, b: (1.0, 1.0))
@@ -159,9 +170,12 @@ class TestPolytopeSolvers:
         for module in (quadrature, normalize):
             for name in ("ConvexHull", "HalfspaceIntersection"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
+        # nor a 2-D hull for a section
+        monkeypatch.setattr(planar, "ConvexHull", refuse)
         L = rotate(POLYTOPES["random1"](), 0.4, 1.0, 2.0)
         v, ang, *_ = normalize._fgh_body(L, grid)
         assert np.all(np.isfinite(v)) and 0.0 < ang.theta_cap < PI
+        assert balance_angles(L, grid) == ang
 
 
 SMOOTH = {
@@ -293,6 +307,19 @@ class TestRotate:
         want = cube().vertices @ R.matrix.T
         got = sorted(map(tuple, np.round(L.vertices, 12)))
         assert np.allclose(got, sorted(map(tuple, np.round(want, 12))), atol=1e-12)
+
+    def test_one_map_equals_composed_rotations(self):
+        # the one product of the three matrices is the chain of three
+        # composed maps, bit for bit
+        rng = np.random.default_rng(75)
+        K = random_symmetric_polytope(rng, 8)
+        for t, p, q in rng.uniform(0.0, PI, size=(100, 3)):
+            R = (
+                LinearMap3.rotation_x(t)
+                .compose(LinearMap3.rotation_y(p))
+                .compose(LinearMap3.rotation_z(q))
+            )
+            assert np.array_equal(rotate(K, t, p, q).vertices, K.transformed(R).vertices)
 
 
 class TestFGH:

@@ -32,7 +32,7 @@ from mahlerlab.quadrature import (
     wedge_volume,
 )
 from mahlerlab import planar, quadrature
-from mahlerlab.normalize import rotate
+from mahlerlab.normalize import balance_angles, rotate
 from test_normalize import POLYTOPES, ROTATIONS
 
 FOUR_PI = 4.0 * math.pi
@@ -215,6 +215,27 @@ class TestConeSumsMatchQhull:
         vol_p = oracles.qhull_volume(polar(K))
         assert np.max(np.abs(polar_piece_volumes(K, grid) - want)) <= 1e-12 * vol_p
 
+    @pytest.mark.parametrize("name", sorted(_CONE_SUM_BODIES))
+    def test_sections_match_facet_duality(self, grid, name):
+        # the fan sums over the cut segments against the facet-duality
+        # polygons, clipped and measured by the 2-D kernel
+        K = _CONE_SUM_BODIES[name]
+        sections = {p: oracles.hull_section_polygon(K, p) for p in (1, 2, 3)}
+        Q = np.array([planar.shoelace(sections[p]) for p in (1, 2, 3)])
+        assert np.allclose(plane_measures(K, grid)[0], Q, rtol=1e-12, atol=0.0)
+        for p in (1, 2, 3):
+            assert planar.shoelace(section_polygon(K, p)) == pytest.approx(Q[p - 1], rel=1e-12)
+        want = [
+            planar.shoelace(planar.clip_quadrant(sections[p], s0, s1))
+            for p, s0, s1 in quadrature._QUARTERS
+        ]
+        assert np.allclose(quarter_areas(K), want, rtol=1e-12, atol=0.0)
+        ang = balance_angles(K, grid)
+        phi = oracles.hull_sector_polytope(K, 0.0)
+        psi = oracles.hull_sector_polytope(K, ang.theta_cap)
+        assert ang.phi_cap == pytest.approx(phi, rel=1e-12)
+        assert ang.psi_cap == pytest.approx(psi, rel=1e-12)
+
 
 class TestPolarPieces:
     def test_cube_pieces(self, grid):
@@ -327,7 +348,7 @@ class TestQuarterAreas:
         for n, (plane, s0, s1) in enumerate(
             [(1, 1, 1), (1, -1, 1), (2, 1, 1), (2, -1, 1), (3, 1, 1), (3, -1, 1)]
         ):
-            poly = planar.clip_quadrant(section_polygon(K, plane), s0, s1)
+            poly = planar.clip_quadrant(oracles.hull_section_polygon(K, plane), s0, s1)
             assert qa[n] == pytest.approx(abs(float(oracles.frac_shoelace(poly))),
                                           rel=1e-12)
 
@@ -346,13 +367,13 @@ class TestQuarterAreas:
 
     def test_one_section_per_plane(self, monkeypatch):
         calls = []
-        build = planar.halfspaces_to_polygon
+        cut = quadrature._split
 
-        def counted(normals):
-            calls.append(normals)
-            return build(normals)
+        def counted(tris, n):
+            calls.append(n)
+            return cut(tris, n)
 
-        monkeypatch.setattr(planar, "halfspaces_to_polygon", counted)
+        monkeypatch.setattr(quadrature, "_split", counted)
         quarter_areas(cube())
         assert len(calls) == 3
 
