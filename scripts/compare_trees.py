@@ -10,18 +10,21 @@ commit exported with `git archive` and the working tree) are compared from
 one place, each dumped in its own process.  Set OPENBLAS_NUM_THREADS=1 for
 both.  It records, on nine polytopes (the cube, the cross-polytope, a cube
 under a map with det -1, three perturbed cubes and three random polytopes
-from default_rng(1001)):
+from default_rng(1001)) and on twelve symmetric polygons (drawn from
+default_rng(1001) as the benchmark's `cli_screen` draws them):
 
 - cli: the exit code, stdout and report of `vp`, `verify` and `winding` at
   the default 128x256 grid, `sweep --n 3` at 32x64, and `normalize` at
-  32x64 on two of them;
+  32x64 on two of the polytopes; `verify2` on each polygon;
 - fn: for each polytope turned by X(0) Y(phi) Z(psi) at five (phi, psi),
-  the rotated vertices, the balance angles, the quarter areas, the central
-  section areas Q and the curve vectors.
+  the rotated vertices, the balance angles, the quarter areas, the curve
+  vectors, and the section areas, shadow areas and planar products of
+  `verify_chain` (or the name of the error it raises).
 
-`compare` prints one line per command and field: how many items differ and
-the largest absolute difference, then every item whose exit code or text
-differs.  Floats are written with repr, so equal means bit-identical.
+`compare` prints one line per command and field: how many items differ, the
+largest absolute difference, and the largest difference relative to the
+largest |value| of the field in its item; then every item whose exit code
+or text differs.  Floats are written with repr, so equal means bit-identical.
 """
 
 from __future__ import annotations
@@ -61,7 +64,27 @@ def corpus(body):
     return out
 
 
+def polygons():
+    """Twelve symmetric convex polygons: 2m points of a seeded ellipse each,
+    counterclockwise."""
+    rng = np.random.default_rng(1001)
+    out = {}
+    for k in range(12):
+        m = int(rng.integers(2, 7))
+        while True:
+            t = np.sort(rng.uniform(0.0, math.pi, size=m))
+            if np.min(np.diff(np.append(t, t[0] + math.pi))) > 0.1:
+                break
+        A = np.diag(rng.uniform(0.6, 1.6, size=2))
+        A[0, 1] = rng.uniform(-0.4, 0.4)
+        half = np.stack([np.cos(t), np.sin(t)], axis=-1) @ A.T
+        out[f"polygon{k}"] = np.vstack([half, -half])
+    return out
+
+
 def _runs(name):
+    if name.startswith("polygon"):
+        return [("verify2", [])]
     runs = [("vp", []), ("verify", []), ("winding", []), ("sweep", ["--grid", "32x64", "--n", "3"])]
     if name in NORMALIZED:
         runs.append(("normalize", ["--grid", "32x64"]))
@@ -101,16 +124,18 @@ def _stdout(text):
 
 def dump(tree, out_path):
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
-    from mahlerlab import body, bound3d, cli, normalize, quadrature
+    from mahlerlab import body, bound3d, cli, errors, normalize, quadrature
 
     grid = quadrature.make_grid(32, 64)
     items = {}
     bodies = corpus(body)
+    descriptors = {name: {"type": "polytope", "vertices": K.vertices.tolist()} for name, K in bodies.items()}
+    descriptors.update({name: {"dim": 2, "vertices": v.tolist()} for name, v in polygons().items()})
     with tempfile.TemporaryDirectory() as tmp:
-        for name, K in bodies.items():
+        for name, desc in descriptors.items():
             spec = os.path.join(tmp, name + ".json")
             with open(spec, "w", encoding="utf-8") as fh:
-                json.dump({"type": "polytope", "vertices": K.vertices.tolist()}, fh)
+                json.dump(desc, fh)
             for cmd, extra in _runs(name):
                 report = os.path.join(tmp, f"{cmd}-{name}.out")
                 so, se = io.StringIO(), io.StringIO()
@@ -130,10 +155,14 @@ def dump(tree, out_path):
             ang = normalize.balance_angles(L, grid)
             items[f"fn/balance_angles/{key}"] = dataclasses.asdict(ang)
             items[f"fn/quarter_areas/{key}"] = {"qa": quadrature.quarter_areas(L).tolist()}
-            Q = quadrature.plane_measures(L, grid)[0]
-            items[f"fn/plane_measures/{key}"] = {"Q": Q.tolist()}
             cv = dataclasses.asdict(bound3d.curve_vectors(L))
             items[f"fn/curve_vectors/{key}"] = {k: v.tolist() for k, v in cv.items()}
+            try:
+                rep = bound3d.verify_chain(L, grid)
+                chain = {k: getattr(rep, k).tolist() for k in ("section_areas", "projection_areas", "planar_products")}
+            except errors.MahlerLabError as e:
+                chain = {"error": type(e).__name__}
+            items[f"fn/verify_chain/{key}"] = chain
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(items, fh)
     print(f"{len(items)} items written to {out_path}")
@@ -190,7 +219,9 @@ def compare(before_path, after_path):
     if list(a) != list(b):
         print("the dumps hold different items:", sorted(set(a) ^ set(b)))
         return 1
-    stats = {}  # (group, field) -> [items, differing items, max abs difference]
+    # (group, field) -> [items, differing items, max abs difference, max
+    # difference relative to the largest |value| of the field in its item]
+    stats = {}
     texts = []
     for key in a:
         group = key.rsplit("/", 1)[0]
@@ -201,19 +232,24 @@ def compare(before_path, after_path):
             na, nb = _numbers(va), _numbers(vb)
             field = _field(path)
             if na is not None and nb is not None and len(na) == len(nb):
-                diffs[field] = max(diffs.get(field, 0.0), _max_difference(na, nb))
+                d = _max_difference(na, nb)
+                scale = max(abs(x) for x in na) if na else 0.0
+                rel = d / scale if d and scale else d
+                old = diffs.get(field, (0.0, 0.0))
+                diffs[field] = (max(old[0], d), max(old[1], rel))
             elif va != vb:
                 texts.append(f"{key} {path}: {va!r} -> {vb!r}")
             else:
-                diffs.setdefault(field, 0.0)
-        for field, d in diffs.items():
-            s = stats.setdefault((group, field), [0, 0, 0.0])
+                diffs.setdefault(field, (0.0, 0.0))
+        for field, (d, rel) in diffs.items():
+            s = stats.setdefault((group, field), [0, 0, 0.0, 0.0])
             s[0] += 1
             s[1] += d > 0.0
             s[2] = max(s[2], d)
-    print(f"{'field':48s} {'differ':>9s}  max |difference|")
-    for (group, field), (n, nd, d) in stats.items():
-        print(f"{group + ' ' + field:48s} {nd:4d}/{n:<4d}  {d:.2g}")
+            s[3] = max(s[3], rel)
+    print(f"{'field':48s} {'differ':>9s}  max |difference|  relative")
+    for (group, field), (n, nd, d, rel) in stats.items():
+        print(f"{group + ' ' + field:48s} {nd:4d}/{n:<4d}  {d:<16.2g}  {rel:.2g}")
     print("exit codes, text and shapes:", "all equal" if not texts else "")
     for line in texts:
         print("  " + line)

@@ -10,14 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, DegenerateBody, NotNormalized, NotSymmetric
-from .planar import (
-    brent_root,
-    clip_halfplane,
-    clip_quadrant,
-    dual_vertex2,
-    dual_vertices2,
-    shoelace,
-)
+from .planar import _clip_segments, _edges, _fan_area, brent_root, dual_vertex2, dual_vertices2, shoelace
 
 __all__ = [
     "Polygon2",
@@ -44,21 +37,25 @@ class Polygon2:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 4:
             raise DegenerateBody("need at least 4 planar vertices")
-        if shoelace(v) < 0:
-            v = v[::-1]
-        area = shoelace(v)
+        # the shape checks run on u = v / scale, whose products cannot
+        # overflow; an area that is zero, NaN or infinite is rejected
         scale = float(np.abs(v).max())
-        if area <= 1e-12 * scale**2:
-            raise DegenerateBody("polygon has (numerically) zero area")
-        e = np.roll(v, -1, axis=0) - v
+        with np.errstate(all="ignore"):
+            u = v / scale
+            rel_area, area = shoelace(u), shoelace(v)
+        if rel_area < 0:
+            v, u, rel_area, area = v[::-1], u[::-1], -rel_area, -area
+        if not (rel_area > 1e-12 and 0.0 < area < math.inf):
+            raise DegenerateBody("polygon area is (numerically) zero or not finite")
+        e = np.roll(u, -1, axis=0) - u
         cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        if np.any(cross < -1e-12 * scale**2):
+        if np.any(cross < -1e-12):
             raise DegenerateBody("vertex list is not convex")
         # closed under negation: -v must be a cyclic rotation of v
         n = len(v)
         if n % 2:
             raise NotSymmetric("odd vertex count cannot be centrally symmetric")
-        if not np.allclose(v, -np.roll(v, n // 2, axis=0), atol=1e-9 * scale):
+        if not np.allclose(u, -np.roll(u, n // 2, axis=0), atol=1e-9):
             raise NotSymmetric("vertex list is not closed under negation")
         start = int(np.lexsort((v[:, 1], v[:, 0]))[0])
         object.__setattr__(self, "vertices", np.roll(v, -start, axis=0))
@@ -94,10 +91,12 @@ def polar2(P: Polygon2) -> Polygon2:
 
 
 def _quadrant_gap(P: Polygon2) -> float:
-    v = P.vertices
-    a1 = shoelace(clip_quadrant(v, 1, 1))
-    a2 = shoelace(clip_quadrant(v, -1, 1))
-    return a1 - a2
+    """|P ∩ {u >= 0, v >= 0}| - |P ∩ {u <= 0, v >= 0}|, fan sums over the
+    edges clipped to the upper half and then to each side of the v-axis."""
+    upper = _clip_segments(_edges(P.vertices), (0.0, 1.0))
+    right = _fan_area(_clip_segments(upper, (1.0, 0.0)))
+    left = _fan_area(_clip_segments(upper, (-1.0, 0.0)))
+    return float(right - left)
 
 
 def _rot2(t: float) -> np.ndarray:
@@ -174,9 +173,9 @@ def verify2(P: Polygon2) -> Report2:
     b = float(_extreme_vertex(qv, 0)[1])
     c = float(_extreme_vertex(qv, 1)[0])
     # piece 1: {v >= b u} and {u >= c v}; piece 2: {v >= b u} and {u <= c v}
-    p1 = clip_halfplane(clip_halfplane(qv, (b, -1.0), 0.0), (-1.0, c), 0.0)
-    p2 = clip_halfplane(clip_halfplane(qv, (b, -1.0), 0.0), (1.0, -c), 0.0)
-    a1, a2 = shoelace(p1), shoelace(p2)
+    upper = _clip_segments(_edges(qv), (-b, 1.0))
+    a1 = float(_fan_area(_clip_segments(upper, (1.0, -c))))
+    a2 = float(_fan_area(_clip_segments(upper, (-1.0, c))))
     polar_area = Q.area()
     eps = 1e-12 * polar_area
     s1 = np.array([1.0 - b, 1.0 - c]) / (2.0 * a1) if a1 > eps else np.zeros(2)

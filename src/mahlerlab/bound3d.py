@@ -19,8 +19,9 @@ from .quadrature import (
     _section_segments,
     _section_vertices,
     octant_volumes,
-    plane_measures,
+    projection_areas,
     quarter_areas,
+    section_areas,
     volume,
 )
 
@@ -214,8 +215,9 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid) -> ChainReport:
     the condition residual is large the report is marked not applicable but
     the pairings and planar products are still evaluated (they hold
     unconditionally).  The polar is built once and each measure of K and of
-    its polar is computed once: the octant volumes feed the residual and the
-    R_i, the quarter areas the residual and the body-side curve vectors."""
+    its polar is computed once, and only where the report uses it: the
+    octant volumes feed the residual and the R_i, the quarter areas the
+    residual and the body-side curve vectors."""
     vol = volume(K, grid)
     Kp = polar(K)
     vol_p = volume(Kp, grid)
@@ -230,8 +232,8 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid) -> ChainReport:
     piece_p = _polar_pieces(Kp, grid)[:4]
     S, R = _test_points(K, Kp, cv, piece, piece_p)
     pairings = np.einsum("ij,ij->i", R, S)
-    Q, _ = plane_measures(K, grid)
-    _, P = plane_measures(Kp, grid)
+    Q = section_areas(K)
+    P = projection_areas(Kp)
     planar_products = Q * P
     sum_products = float(np.sum(planar_products))
     nine_quarter = 2.25 * product

@@ -33,10 +33,10 @@ from scipy.optimize import least_squares
 from . import planar
 from .body import ConvexBody3, LinearMap3, SymmetricPolytope, _rotation, sphere_point
 from .errors import BadParameter, NoConvergence, NotGeneric, NoZeroFound
+from .planar import _clip_segments
 from .quadrature import (
     GL64,
     SphereGrid,
-    _clip_segments,
     _cone6,
     _split,
     octant_volumes,

@@ -1,12 +1,18 @@
-"""Small exact 2D kernel: shoelace areas, halfplane clipping, edge duals,
-convex hulls, and the Brent root solve shared by the angle and rotation
-solvers."""
+"""Small exact 2D kernel, and the Brent root solve shared by the angle and
+rotation solvers.
+
+A planar region that is star-shaped about the origin is a set of (u, v)
+segments, its boundary oriented counterclockwise.  It is clipped only by
+half-planes through the origin, which turn the cone from the origin over
+each segment into the cone over the clipped segment, and its area is the
+fan sum of those cones.  A polygon is the segment set of its closed edge
+list; a central section of a polytope is the set of cut segments its
+boundary triangles leave in the plane."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.spatial import ConvexHull
 
 from .errors import CollinearPoints, NoConvergence
 
@@ -23,40 +29,37 @@ def brent_root(f, lo: float, hi: float, what: str) -> float:
         raise NoConvergence(f"{what}: {e}") from None
 
 
+def _edges(poly: np.ndarray) -> np.ndarray:
+    """The (n, 2, 2) closed edge list of an (n, 2) vertex array."""
+    e = np.empty((len(poly), 2, 2))
+    e[:, 0], e[:-1, 1], e[-1:, 1] = poly, poly[1:], poly[:1]
+    return e
+
+
+def _clip_segments(seg: np.ndarray, m) -> np.ndarray:
+    """The part m.p >= 0 of each (u, v) segment of a (..., 2, 2) array, the
+    line m.p = 0 through the origin; a segment wholly outside shrinks to the
+    origin.  The cone from the origin over a segment, cut by the half-plane,
+    is the cone over the clipped segment."""
+    d = seg @ np.asarray(m, dtype=float)
+    p, q = seg[..., 0, :], seg[..., 1, :]
+    p_in, q_in = d[..., :1] >= 0.0, d[..., 1:] >= 0.0
+    w = np.zeros(p_in.shape)
+    np.divide(d[..., :1], d[..., :1] - d[..., 1:], out=w, where=p_in != q_in)
+    x = np.where(p_in | q_in, p + w * (q - p), 0.0)
+    return np.stack([np.where(p_in, p, x), np.where(q_in, q, x)], axis=-2)
+
+
+def _fan_area(seg: np.ndarray):
+    """(1/2) sum of p x q over the (u, v) segments of a (..., S, 2, 2) array:
+    the signed area of the cones from the origin over them."""
+    return 0.5 * np.sum(seg[..., 0, 0] * seg[..., 1, 1] - seg[..., 0, 1] * seg[..., 1, 0], axis=-1)
+
+
 def shoelace(poly: np.ndarray) -> float:
-    """Signed area of a polygon given as an (n,2) vertex array."""
-    p = np.asarray(poly, dtype=float)
-    if len(p) < 3:
-        return 0.0
-    x, y = p[:, 0], p[:, 1]
-    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
-    return 0.5 * float(np.sum(x * y1 - x1 * y))
-
-
-def clip_halfplane(poly: np.ndarray, n, c: float) -> np.ndarray:
-    """Clip a convex polygon to the halfplane {p : n.p <= c} (Sutherland-Hodgman)."""
-    p = np.asarray(poly, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if len(p) == 0:
-        return p
-    out = []
-    vals = p @ n - c
-    m = len(p)
-    for i in range(m):
-        j = (i + 1) % m
-        vi, vj = vals[i], vals[j]
-        if vi <= 0:
-            out.append(p[i])
-        if (vi < 0) != (vj < 0) and vi != vj:
-            t = vi / (vi - vj)
-            out.append(p[i] + t * (p[j] - p[i]))
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def clip_quadrant(poly: np.ndarray, sx: int, sy: int) -> np.ndarray:
-    """Clip to {sx*x >= 0, sy*y >= 0}."""
-    q = clip_halfplane(poly, (-sx, 0.0), 0.0)
-    return clip_halfplane(q, (0.0, -sy), 0.0)
+    """Signed area of a polygon given as an (n,2) vertex array: the fan sum
+    over its closed edge list."""
+    return float(_fan_area(_edges(np.asarray(poly, dtype=float))))
 
 
 def dual_vertices2(p, q) -> np.ndarray:
@@ -73,10 +76,3 @@ def dual_vertices2(p, q) -> np.ndarray:
 def dual_vertex2(p, q):
     """The point v with v.p = v.q = 1."""
     return dual_vertices2(p, q)[0]
-
-
-def hull2(points: np.ndarray) -> np.ndarray:
-    """CCW convex hull vertices of a 2D point cloud."""
-    pts = np.asarray(points, dtype=float)
-    hull = ConvexHull(pts)
-    return pts[hull.vertices]

@@ -10,8 +10,10 @@ pieces are cone sums over the boundary triangles the polytope carries: each
 cut is a plane through the origin, so a cut body is a sum of tetrahedra
 over the cut triangles.  A central section is bounded by the segments the
 same cut leaves on the triangles, and each of its cones from the origin is a
-fan sum over those segments; projections come by shadow hulls.  That keeps
-the extremizer values (cube, cross-polytope) exact to machine precision.
+fan sum over those segments (the planar kernel).  A shadow along an axis is
+a quarter of the summed absolute vector areas of the triangles, since the
+boundary covers it twice.  That keeps the extremizer values (cube,
+cross-polytope) exact to machine precision.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from . import planar
 from .body import ConvexBody3, SymmetricPolytope, polar, sphere_point
 from .errors import BadGridSize, ClassificationUnstable, NoConvergence
+from .planar import _clip_segments, _fan_area
 
 TWO_PI = 2.0 * math.pi
 
@@ -275,26 +277,6 @@ def _coordinate_sections(K: SymmetricPolytope) -> np.ndarray:
     return np.stack([_section_segments(K, _PLANE_FRAMES[p]) for p in (1, 2, 3)])
 
 
-def _clip_segments(seg: np.ndarray, m) -> np.ndarray:
-    """The part m.p >= 0 of each (u, v) segment of a (..., 2, 2) array, the
-    line m.p = 0 through the origin; a segment wholly outside shrinks to the
-    origin.  The cone from the origin over a segment, cut by the half-plane,
-    is the cone over the clipped segment."""
-    d = seg @ np.asarray(m, dtype=float)
-    p, q = seg[..., 0, :], seg[..., 1, :]
-    p_in, q_in = d[..., :1] >= 0.0, d[..., 1:] >= 0.0
-    w = np.zeros(p_in.shape)
-    np.divide(d[..., :1], d[..., :1] - d[..., 1:], out=w, where=p_in != q_in)
-    x = np.where(p_in | q_in, p + w * (q - p), 0.0)
-    return np.stack([np.where(p_in, p, x), np.where(q_in, q, x)], axis=-2)
-
-
-def _fan_area(seg: np.ndarray):
-    """(1/2) sum of p x q over the (u, v) segments of a (..., S, 2, 2) array:
-    the signed area of the cones from the origin over them."""
-    return 0.5 * np.sum(seg[..., 0, 0] * seg[..., 1, 1] - seg[..., 0, 1] * seg[..., 1, 0], axis=-1)
-
-
 def _section_vertices(seg: np.ndarray) -> np.ndarray:
     """The start points of the non-degenerate (u, v) segments, sorted by
     angle: the section polygon, counterclockwise."""
@@ -309,11 +291,6 @@ def section_polygon(K: SymmetricPolytope, plane: int) -> np.ndarray:
     collinear vertex appears where the plane crosses a diagonal that the
     triangulation draws inside a facet."""
     return _section_vertices(_section_segments(K, _PLANE_FRAMES[plane]))
-
-
-def projection_polygon(K: SymmetricPolytope, plane: int) -> np.ndarray:
-    j, k = _PLANE_COORDS[plane]
-    return planar.hull2(K.vertices[:, [j, k]])
 
 
 _N_CIRCLE = 2048
@@ -335,17 +312,22 @@ def _projection_area_quad(K: ConvexBody3, plane: int) -> float:
     return 0.5 * float(np.sum(h**2 - dh**2)) * (TWO_PI / _N_CIRCLE)
 
 
-def plane_measures(K: ConvexBody3, grid: SphereGrid):
-    """(Q, Pproj): central section areas and orthogonal shadow areas."""
+def section_areas(K: ConvexBody3) -> np.ndarray:
+    """|K ∩ e_i^⊥| for i = 1, 2, 3: fan sums over the cut segments for
+    polytopes, (1/2) of the integral of rho^2 around the circle otherwise."""
     if isinstance(K, SymmetricPolytope):
-        Q = _fan_area(_coordinate_sections(K))
-        P = np.array(
-            [abs(planar.shoelace(projection_polygon(K, p))) for p in (1, 2, 3)]
-        )
-        return Q, P
-    Q = np.array([_section_area_quad(K, p) for p in (1, 2, 3)])
-    P = np.array([_projection_area_quad(K, p) for p in (1, 2, 3)])
-    return Q, P
+        return _fan_area(_coordinate_sections(K))
+    return np.array([_section_area_quad(K, p) for p in (1, 2, 3)])
+
+
+def projection_areas(K: ConvexBody3) -> np.ndarray:
+    """|P_i K|, the shadows along the axes.  A polytope's boundary covers each
+    shadow twice, front and back, so it is a quarter of the summed
+    |((b - a) x (c - a))_i| over the carried triangles (a, b, c)."""
+    if isinstance(K, SymmetricPolytope):
+        t = K.vertices[K.triangles]
+        return 0.25 * np.sum(np.abs(np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0])), axis=0)
+    return np.array([_projection_area_quad(K, p) for p in (1, 2, 3)])
 
 
 # quarter-plane cone pieces: (plane, quadrant signs in plane coords)

@@ -20,7 +20,11 @@ are checked against qhull: the halfspace intersection of the facets with
 the cut, and the hull of the vertices.  Its central sections, which the
 library takes from the cut segments of the same triangles, are checked
 against facet duality: the 2-D hull of the facet normals restricted to the
-plane, whose edge duals are the section's vertices.
+plane, whose edge duals are the section's vertices.  Its shadows, which the
+library sums from the triangles' vector areas, are checked against the 2-D
+hull of the projected vertices.  The library clips planar regions as
+segment sets by half-planes through the origin; the reference clip is
+Sutherland-Hodgman on the vertex list.
 """
 
 from __future__ import annotations
@@ -79,6 +83,48 @@ def frac_shoelace(poly):
         x1, y1 = pts[(i + 1) % len(pts)]
         acc += x0 * y1 - x1 * y0
     return acc / 2
+
+
+def clip_halfplane(poly, n, c):
+    """Clip a convex polygon to the halfplane {p : n.p <= c} (Sutherland-Hodgman)."""
+    p = np.asarray(poly, dtype=float)
+    n = np.asarray(n, dtype=float)
+    if len(p) == 0:
+        return p
+    out = []
+    vals = p @ n - c
+    m = len(p)
+    for i in range(m):
+        j = (i + 1) % m
+        vi, vj = vals[i], vals[j]
+        if vi <= 0:
+            out.append(p[i])
+        if (vi < 0) != (vj < 0) and vi != vj:
+            t = vi / (vi - vj)
+            out.append(p[i] + t * (p[j] - p[i]))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def clip_quadrant(poly, sx, sy):
+    """Clip to {sx*x >= 0, sy*y >= 0}."""
+    q = clip_halfplane(poly, (-sx, 0.0), 0.0)
+    return clip_halfplane(q, (0.0, -sy), 0.0)
+
+
+def hull2(points):
+    """CCW convex hull vertices of a 2D point cloud (a 2-D qhull)."""
+    from scipy.spatial import ConvexHull
+
+    pts = np.asarray(points, dtype=float)
+    return pts[ConvexHull(pts).vertices]
+
+
+def projection_polygon(K, plane):
+    """The shadow of a polytope along axis `plane` (1: x, 2: y, 3: z) as the
+    hull of its projected vertices, in the in-plane coordinates of
+    quadrature.section_polygon."""
+    j, k = {1: (1, 2), 2: (2, 0), 3: (0, 1)}[plane]
+    return hull2(K.vertices[:, [j, k]])
 
 
 def cumulative_theta(K, n_beta=2000, n_alpha=400):
@@ -162,11 +208,9 @@ def hull_section_polygon(K, plane):
 def _upper_half_section(K, beta):
     """The half r >= 0 of the section by the plane through the x-axis at
     angle beta, in the in-plane coordinates (x, r), by facet duality."""
-    from mahlerlab import planar
-
     w = np.array([0.0, math.cos(beta), math.sin(beta)])
     poly = halfspaces_to_polygon(np.column_stack([K.facets[:, 0], K.facets @ w]))
-    return planar.clip_halfplane(poly, (0.0, -1.0), 0.0)
+    return clip_halfplane(poly, (0.0, -1.0), 0.0)
 
 
 def hull_sector_polytope(K, beta):
@@ -198,7 +242,7 @@ def bisect_sector_polytope(K, beta):
     target = 0.5 * planar.shoelace(upper)
 
     def sector(phi):
-        cut = planar.clip_halfplane(upper, (-math.sin(phi), math.cos(phi)), 0.0)
+        cut = clip_halfplane(upper, (-math.sin(phi), math.cos(phi)), 0.0)
         return planar.shoelace(cut)
 
     return bisect(lambda phi: sector(phi) < target, 1e-5, math.pi - 1e-5, 60)

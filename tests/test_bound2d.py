@@ -14,7 +14,8 @@ from mahlerlab.bound2d import (
     polar2,
     verify2,
 )
-from mahlerlab.planar import clip_quadrant, dual_vertices2, hull2, shoelace
+from mahlerlab.bound2d import _quadrant_gap
+from mahlerlab.planar import dual_vertices2, shoelace
 from oracles import bisect
 
 
@@ -25,7 +26,7 @@ def square2():
 def random_polygon(rng, pairs=4):
     while True:
         pts = rng.standard_normal((pairs, 2))
-        v = hull2(np.vstack([pts, -pts]))
+        v = oracles.hull2(np.vstack([pts, -pts]))
         if len(v) >= 4:
             return Polygon2(v)
 
@@ -47,6 +48,18 @@ class TestPolygon2:
     def test_rejects_flat(self):
         with pytest.raises(errors.DegenerateBody):
             Polygon2([[1, 0], [2, 0], [-1, 0], [-2, 0]])
+
+    def test_scale_extremes(self):
+        # the shape checks run on the rescaled vertices, so no product overflows
+        with pytest.raises(errors.DegenerateBody):
+            Polygon2(1e200 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]))
+        with pytest.raises(errors.DegenerateBody):
+            Polygon2(1e-200 * np.array([[1, 0], [0, 1], [-1, 0], [0, -1]]))
+        with pytest.raises(errors.DegenerateBody):
+            Polygon2(np.zeros((4, 2)))
+        P = Polygon2(1e100 * square2().vertices)
+        assert P.area() == pytest.approx(4e200, rel=1e-15)
+        assert P.area() * polar2(P).area() == pytest.approx(8.0, rel=1e-15)
 
     def test_ccw_and_canonical_start(self):
         P = Polygon2([[1, -1], [1, 1], [-1, 1], [-1, -1]])  # clockwise input
@@ -144,8 +157,8 @@ class TestNormalize2:
                       [math.sin(math.pi / 6), math.cos(math.pi / 6)]])
         )
         M, Q = normalize2(P)
-        a1 = shoelace(clip_quadrant(Q.vertices, 1, 1))
-        a2 = shoelace(clip_quadrant(Q.vertices, -1, 1))
+        a1 = shoelace(oracles.clip_quadrant(Q.vertices, 1, 1))
+        a2 = shoelace(oracles.clip_quadrant(Q.vertices, -1, 1))
         assert abs(a1 - a2) < 1e-10 * Q.area()
         assert Q.gauge((1.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
         assert Q.gauge((0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -155,8 +168,8 @@ class TestNormalize2:
     def test_random_hexagon_balanced(self, seed):
         P = random_polygon(np.random.default_rng(seed), pairs=3)
         _, Q = normalize2(P)
-        a1 = float(oracles.frac_shoelace(clip_quadrant(Q.vertices, 1, 1)))
-        a2 = float(oracles.frac_shoelace(clip_quadrant(Q.vertices, -1, 1)))
+        a1 = float(oracles.frac_shoelace(oracles.clip_quadrant(Q.vertices, 1, 1)))
+        a2 = float(oracles.frac_shoelace(oracles.clip_quadrant(Q.vertices, -1, 1)))
         assert abs(a1 - a2) < 1e-9 * Q.area()
 
 
@@ -215,6 +228,40 @@ class TestVerify2:
         _, Q = normalize2(square2().transformed(A))
         rep = verify2(Q)
         assert rep.product == pytest.approx(8.0, rel=1e-10)
+
+
+class TestFanKernel:
+    """The 2-D areas are fan sums over clipped edge segments; the reference
+    is the Sutherland-Hodgman clip of the vertex list in the oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), pairs=st.integers(2, 12))
+    def test_shoelace_is_the_edge_fan_sum(self, seed, pairs):
+        v = random_polygon(np.random.default_rng(seed), pairs).vertices
+        x, y = v[:, 0], v[:, 1]
+        x1, y1 = np.roll(x, -1), np.roll(y, -1)
+        assert shoelace(v) == 0.5 * float(np.sum(x * y1 - x1 * y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), pairs=st.integers(2, 12), turn=st.floats(0.0, 2.0 * math.pi))
+    def test_quadrant_gap_matches_sutherland_hodgman(self, seed, pairs, turn):
+        rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+        P = random_polygon(np.random.default_rng(seed), pairs).transformed(rot)
+        v = P.vertices
+        want = shoelace(oracles.clip_quadrant(v, 1, 1)) - shoelace(oracles.clip_quadrant(v, -1, 1))
+        assert abs(_quadrant_gap(P) - want) <= 1e-12 * P.area()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 100_000), pairs=st.integers(2, 12))
+    def test_verify2_pieces_match_sutherland_hodgman(self, seed, pairs):
+        _, Q = normalize2(random_polygon(np.random.default_rng(seed), pairs))
+        rep = verify2(Q)
+        upper = oracles.clip_halfplane(polar2(Q).vertices, (rep.b, -1.0), 0.0)
+        want = (
+            shoelace(oracles.clip_halfplane(upper, (-1.0, rep.c), 0.0)),
+            shoelace(oracles.clip_halfplane(upper, (1.0, -rep.c), 0.0)),
+        )
+        assert np.max(np.abs(np.subtract(rep.piece_areas, want))) <= 1e-12 * rep.polar_area
 
 
 class TestEqualityFamily:

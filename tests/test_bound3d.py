@@ -35,8 +35,7 @@ from mahlerlab.bound3d import (
     verify_chain,
 )
 from mahlerlab.normalize import find_normalization, rotate
-from mahlerlab.planar import hull2, shoelace
-from mahlerlab.quadrature import plane_measures, projection_polygon, section_polygon
+from mahlerlab.quadrature import projection_areas, section_polygon
 
 
 class TestCurveVectors:
@@ -73,12 +72,12 @@ class TestCurveVectors:
             rev = _dual_curve_vector(K, Q, P)
             assert np.allclose(fwd, -rev, atol=1e-8 * max(np.abs(fwd).max(), 1.0))
 
-    def test_projection_consistency(self, grid):
+    def test_projection_consistency(self):
         # first components of the dual d and e vectors add up to the shadow
         # of the polar on the x-plane
         for K in body_corpus(seed=5, n_polytopes=2, n_lp=1, n_sheared=1, n_smooth=1):
             cv = curve_vectors(K)
-            _, P = plane_measures(polar(K), grid)
+            P = projection_areas(polar(K))
             assert cv.d_p[0] + cv.e_p[0] == pytest.approx(P[0], rel=1e-6)
             assert cv.f_p[1] + cv.g_p[1] == pytest.approx(P[1], rel=1e-6)
             assert cv.h_p[2] + cv.i_p[2] == pytest.approx(P[2], rel=1e-6)
@@ -133,26 +132,26 @@ class TestPolytopeCurveVectors:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), pairs=st.integers(4, 15), turn=st.booleans())
-    def test_polar_shadow_identity(self, grid, seed, pairs, turn):
+    def test_polar_shadow_identity(self, seed, pairs, turn):
         # d_p + e_p, f_p + g_p and h_p + i_p trace half the polar's boundary
         # seen along an axis, so their axis components are its exact shadows
         rng = np.random.default_rng(seed)
         K = random_symmetric_polytope(rng, pairs=pairs)
         if turn:
             K = rotate(K, *rng.uniform(0.0, 2.0 * math.pi, 3))
-        self._check_shadows(K, grid)
+        self._check_shadows(K)
 
     @pytest.mark.xfail(
         strict=True,
         reason="lowest-facet contact map at axis points that are vertices (ROADMAP item 7)",
     )
-    def test_polar_shadow_identity_cross_polytope(self, grid):
-        self._check_shadows(cross_polytope(), grid)
+    def test_polar_shadow_identity_cross_polytope(self):
+        self._check_shadows(cross_polytope())
 
     @staticmethod
-    def _check_shadows(K, grid):
+    def _check_shadows(K):
         cv = curve_vectors(K)
-        _, P = plane_measures(polar(K), grid)
+        P = projection_areas(polar(K))
         assert cv.d_p[0] + cv.e_p[0] == pytest.approx(P[0], rel=1e-10)
         assert cv.f_p[1] + cv.g_p[1] == pytest.approx(P[1], rel=1e-10)
         assert cv.h_p[2] + cv.i_p[2] == pytest.approx(P[2], rel=1e-10)
@@ -238,7 +237,7 @@ class TestVerifyChain:
         Kp = polar(K)
         for plane in (1, 2, 3):
             sec = Polygon2(section_polygon(K, plane))
-            shadow = Polygon2(projection_polygon(Kp, plane))
+            shadow = Polygon2(oracles.projection_polygon(Kp, plane))
             dual = polar2(sec)
             d = max(
                 np.min(np.linalg.norm(shadow.vertices - v, axis=1))
@@ -249,22 +248,27 @@ class TestVerifyChain:
     def test_measures_computed_once(self, grid, monkeypatch):
         # every binding the chain could reach, in bound3d, normalize and quadrature
         calls = {}
+        args = {}
+        names = ("octant_volumes", "_polar_pieces", "quarter_areas", "polar", "section_areas", "projection_areas")
         for module in (bound3d, normalize, quadrature):
-            for name in ("octant_volumes", "_polar_pieces", "quarter_areas", "polar"):
+            for name in names:
                 if hasattr(module, name):
                     fn = getattr(module, name)
 
                     def counted(*a, _fn=fn, _name=name, **kw):
                         calls[_name] = calls.get(_name, 0) + 1
+                        args[_name] = a[0]
                         return _fn(*a, **kw)
 
                     monkeypatch.setattr(module, name, counted)
-        rep = verify_chain(sheared_cube(np.random.default_rng(111)), grid)
+        K = sheared_cube(np.random.default_rng(111))
+        rep = verify_chain(K, grid)
         assert rep.chain_ok
-        assert calls["octant_volumes"] == 1
-        assert calls["_polar_pieces"] == 1
-        assert calls["quarter_areas"] == 1
-        assert calls["polar"] == 1
+        assert calls == dict.fromkeys(names, 1)
+        # the sections are of K and the shadows of its polar, the report's pair
+        assert args["section_areas"] is K
+        assert args["projection_areas"] is args["_polar_pieces"]
+        assert np.array_equal(args["projection_areas"].vertices, polar(K).vertices)
 
 
 class TestCone:

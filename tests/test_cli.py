@@ -108,6 +108,21 @@ class TestExitCodes:
     def test_ok(self, tmp_path):
         assert cli.run(["vp", "--body", cube_file(tmp_path), "--grid", "32x64"]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("command", ["vp", "polar", "verify2"])
+    def test_polygon_area_overflow(self, tmp_path, command, capsys):
+        # finite coordinates whose area overflows a double: a refused body
+        p = write_body(
+            tmp_path / "huge.json", {"dim": 2, "vertices": [[1e200, 0], [0, 1e200], [-1e200, 0], [0, -1e200]]}
+        )
+        assert cli.run([command, "--body", p]) == cli.EXIT_INVALID
+        assert "invalid body" in capsys.readouterr().err
+
+    def test_large_square(self, tmp_path):
+        p = write_body(tmp_path / "big.json", {"dim": 2, "vertices": (1e100 * np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])).tolist()})
+        out = tmp_path / "vp.json"
+        assert cli.run(["vp", "--body", p, "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["product"] == pytest.approx(8.0, rel=1e-15)
+
 
 class TestVp:
     def test_cube_values(self, tmp_path, capsys):

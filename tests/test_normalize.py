@@ -8,6 +8,7 @@ from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
 from mahlerlab import bound2d, errors, normalize, planar, quadrature
 from mahlerlab.bound2d import normalize2
 from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, cross_polytope, cube
+from mahlerlab.bound3d import verify_chain
 from mahlerlab.normalize import (
     BalanceAngles,
     BoxPoint,
@@ -130,11 +131,9 @@ class TestPolytopeSolvers:
 
             monkeypatch.setattr(normalize, name, counted)
 
-        def refuse(*a, **kw):
-            raise AssertionError("2-D polygon clipped")
-
-        monkeypatch.setattr(planar, "clip_halfplane", refuse)
-        assert not hasattr(planar, "halfspaces_to_polygon")
+        # the Sutherland-Hodgman clip and the 2-D hulls are test oracles only
+        for name in ("clip_halfplane", "clip_quadrant", "halfspaces_to_polygon", "hull2"):
+            assert not hasattr(planar, name)
         for name in sorted(POLYTOPES):
             K = rotate(POLYTOPES[name](), 0.0, 1.0, 2.0)
             calls.clear()
@@ -171,11 +170,26 @@ class TestPolytopeSolvers:
             for name in ("ConvexHull", "HalfspaceIntersection"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         # nor a 2-D hull for a section
-        monkeypatch.setattr(planar, "ConvexHull", refuse)
+        assert not hasattr(planar, "ConvexHull")
         L = rotate(POLYTOPES["random1"](), 0.4, 1.0, 2.0)
         v, ang, *_ = normalize._fgh_body(L, grid)
         assert np.all(np.isfinite(v)) and 0.0 < ang.theta_cap < PI
         assert balance_angles(L, grid) == ang
+
+    def test_no_qhull_in_the_chain(self, grid, monkeypatch):
+        # sections, shadows, pieces and curve vectors of a polytope and of its
+        # polar run on the carried triangles, and planar imports no qhull
+        def refuse(*a, **kw):
+            raise AssertionError("qhull called")
+
+        for module in (quadrature, planar, normalize):
+            for name in ("ConvexHull", "HalfspaceIntersection", "Delaunay"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert not any(
+            getattr(v, "__module__", "").startswith("scipy.spatial") for v in vars(planar).values()
+        )
+        rep = verify_chain(rotate(POLYTOPES["random1"](), 0.4, 1.0, 2.0), grid)
+        assert rep.chain_ok and np.all(rep.planar_products >= 8.0 - 1e-9)
 
 
 SMOOTH = {

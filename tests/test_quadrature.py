@@ -21,11 +21,11 @@ from mahlerlab.quadrature import (
     OCTANT_SIGNS,
     make_grid,
     octant_volumes,
-    plane_measures,
     polar_piece_volumes,
-    projection_polygon,
+    projection_areas,
     quarter_areas,
     santalo_point,
+    section_areas,
     section_polygon,
     volume,
     volume_product,
@@ -216,17 +216,25 @@ class TestConeSumsMatchQhull:
         assert np.max(np.abs(polar_piece_volumes(K, grid) - want)) <= 1e-12 * vol_p
 
     @pytest.mark.parametrize("name", sorted(_CONE_SUM_BODIES))
+    def test_shadows_match_hull(self, name):
+        # the triangles' vector areas against the 2-D hull of the projected
+        # vertices, on the body and on its polar
+        for K in (_CONE_SUM_BODIES[name], polar(_CONE_SUM_BODIES[name])):
+            want = [abs(float(oracles.frac_shoelace(oracles.projection_polygon(K, p)))) for p in (1, 2, 3)]
+            assert np.allclose(projection_areas(K), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(_CONE_SUM_BODIES))
     def test_sections_match_facet_duality(self, grid, name):
         # the fan sums over the cut segments against the facet-duality
         # polygons, clipped and measured by the 2-D kernel
         K = _CONE_SUM_BODIES[name]
         sections = {p: oracles.hull_section_polygon(K, p) for p in (1, 2, 3)}
         Q = np.array([planar.shoelace(sections[p]) for p in (1, 2, 3)])
-        assert np.allclose(plane_measures(K, grid)[0], Q, rtol=1e-12, atol=0.0)
+        assert np.allclose(section_areas(K), Q, rtol=1e-12, atol=0.0)
         for p in (1, 2, 3):
             assert planar.shoelace(section_polygon(K, p)) == pytest.approx(Q[p - 1], rel=1e-12)
         want = [
-            planar.shoelace(planar.clip_quadrant(sections[p], s0, s1))
+            planar.shoelace(oracles.clip_quadrant(sections[p], s0, s1))
             for p, s0, s1 in quadrature._QUARTERS
         ]
         assert np.allclose(quarter_areas(K), want, rtol=1e-12, atol=0.0)
@@ -273,18 +281,17 @@ class TestPolarPieces:
 
 
 class TestPlaneMeasures:
-    def test_cube_and_its_polar(self, grid):
-        Q, P = plane_measures(cube(), grid)
-        assert np.allclose(Q, 4.0, atol=1e-12)
-        Qx, Px = plane_measures(cross_polytope(), grid)
-        assert np.allclose(Px, 2.0, atol=1e-12)
+    def test_cube_and_its_polar(self):
+        assert np.array_equal(section_areas(cube()), [4.0, 4.0, 4.0])
+        assert np.array_equal(projection_areas(cube()), [4.0, 4.0, 4.0])
+        assert np.array_equal(projection_areas(cross_polytope()), [2.0, 2.0, 2.0])
 
-    def test_ball(self, grid):
-        Q, P = plane_measures(ball(), grid)
+    def test_ball(self):
+        Q, P = section_areas(ball()), projection_areas(ball())
         assert np.allclose(Q, math.pi, rtol=1e-3)
         assert np.allclose(P, math.pi, rtol=1e-3)
 
-    def test_zonotope_projection_vs_rasterization(self, grid):
+    def test_zonotope_projection_vs_rasterization(self):
         rng = np.random.default_rng(13)
         gens = rng.standard_normal((4, 3))
         signs = np.array(
@@ -294,7 +301,7 @@ class TestPlaneMeasures:
         from mahlerlab.body import SymmetricPolytope
 
         K = SymmetricPolytope(signs @ gens)
-        _, P = plane_measures(K, grid)
+        P = projection_areas(K)
         for plane in (1, 2, 3):
             axis = plane - 1
             # rasterize the shadow: a 2D point is covered iff the line along
@@ -320,10 +327,10 @@ class TestPlaneMeasures:
             covered = np.count_nonzero(lo <= hi)
             assert P[axis] == pytest.approx(covered * (2 * lim / n) ** 2, rel=5e-3)
 
-    def test_smooth_projection_consistency(self, grid):
+    def test_smooth_projection_consistency(self):
         # shadow of an axis-aligned lp ball in plane 1 is the 2D lp disc
         K = LpBall(3.0, (1.0, 0.8, 1.2))
-        _, P = plane_measures(K, grid)
+        P = projection_areas(K)
         t = np.linspace(0.0, 2 * math.pi, 20_001)
         r = (np.abs(np.cos(t) / 0.8) ** 3 + np.abs(np.sin(t) / 1.2) ** 3) ** (-1 / 3)
         area = 0.5 * np.trapezoid(r**2, t)
@@ -348,14 +355,14 @@ class TestQuarterAreas:
         for n, (plane, s0, s1) in enumerate(
             [(1, 1, 1), (1, -1, 1), (2, 1, 1), (2, -1, 1), (3, 1, 1), (3, -1, 1)]
         ):
-            poly = planar.clip_quadrant(oracles.hull_section_polygon(K, plane), s0, s1)
+            poly = oracles.clip_quadrant(oracles.hull_section_polygon(K, plane), s0, s1)
             assert qa[n] == pytest.approx(abs(float(oracles.frac_shoelace(poly))),
                                           rel=1e-12)
 
-    def test_half_section_identity(self, grid):
+    def test_half_section_identity(self):
         for K in body_corpus(seed=3, n_polytopes=2, n_lp=2, n_sheared=1, n_smooth=1):
             qa = quarter_areas(K)
-            Q, _ = plane_measures(K, grid)
+            Q = section_areas(K)
             sums = np.array([qa[0] + qa[1], qa[2] + qa[3], qa[4] + qa[5]])
             assert np.allclose(sums, Q / 2.0, rtol=1e-8)
 
