@@ -10,16 +10,21 @@ commit exported with `git archive` and the working tree) are compared from
 one place, each dumped in its own process.  Set OPENBLAS_NUM_THREADS=1 for
 both.  It records, on nine polytopes (the cube, the cross-polytope, a cube
 under a map with det -1, three perturbed cubes and three random polytopes
-from default_rng(1001)) and on twelve symmetric polygons (drawn from
-default_rng(1001) as the benchmark's `cli_screen` draws them):
+from default_rng(1001)), on two smooth bodies (an lp ball in normalized
+position, where the search takes its quick exit, and a linear image of an
+lp ball drawn from default_rng(1001)) and on twelve symmetric polygons
+(drawn from default_rng(1001) as the benchmark's `cli_screen` draws them):
 
 - cli: the exit code, stdout and report of `vp`, `verify` and `winding` at
   the default 128x256 grid, `sweep --n 3` at 32x64, and `normalize` at
-  32x64 on two of the polytopes; `verify2` on each polygon;
-- fn: for each polytope turned by X(0) Y(phi) Z(psi) at five (phi, psi),
-  the rotated vertices, the balance angles, the quarter areas, the curve
-  vectors, and the section areas, shadow areas and planar products of
-  `verify_chain` (or the name of the error it raises).
+  32x64 on two of the polytopes; `vp`, `verify`, `winding`, `sweep --n 3`
+  and `normalize` at 32x64 on the smooth bodies; `verify2` on each polygon;
+- fn: for each body and five (phi, psi), (F, G, H) at the box points
+  (0, phi, psi) and (0.5, phi, psi), and the condition residuals r22, r23
+  of the body turned by X(0) Y(phi) Z(psi); for each polytope so turned,
+  also the rotated vertices, the balance angles, the quarter areas, the
+  curve vectors, and the section areas, shadow areas and planar products
+  of `verify_chain` (or the name of the error it raises).
 
 `compare` prints one line per command and field: how many items differ, the
 largest absolute difference, and the largest difference relative to the
@@ -64,6 +69,17 @@ def corpus(body):
     return out
 
 
+def smooth_descriptors():
+    """The two smooth bodies as body-file descriptors."""
+    rng = np.random.default_rng(1001)
+    p, axes = rng.uniform(2.5, 4.5), rng.uniform(0.7, 1.4, size=3)
+    A = np.eye(3) + 0.25 * rng.standard_normal((3, 3))
+    return {
+        "lp_normal": {"type": "lp", "p": 3.0, "axes": [1.0, 0.7, 1.3]},
+        "lp_turned": {"type": "transformed", "base": {"type": "lp", "p": p, "axes": axes.tolist()}, "matrix": A.tolist()},
+    }
+
+
 def polygons():
     """Twelve symmetric convex polygons: 2m points of a seeded ellipse each,
     counterclockwise."""
@@ -85,6 +101,12 @@ def polygons():
 def _runs(name):
     if name.startswith("polygon"):
         return [("verify2", [])]
+    coarse = ["--grid", "32x64"]
+    if name.startswith("lp_"):
+        return [(cmd, coarse) for cmd in ("vp", "verify", "winding")] + [
+            ("sweep", coarse + ["--n", "3"]),
+            ("normalize", coarse),
+        ]
     runs = [("vp", []), ("verify", []), ("winding", []), ("sweep", ["--grid", "32x64", "--n", "3"])]
     if name in NORMALIZED:
         runs.append(("normalize", ["--grid", "32x64"]))
@@ -130,6 +152,7 @@ def dump(tree, out_path):
     items = {}
     bodies = corpus(body)
     descriptors = {name: {"type": "polytope", "vertices": K.vertices.tolist()} for name, K in bodies.items()}
+    descriptors.update(smooth_descriptors())
     descriptors.update({name: {"dim": 2, "vertices": v.tolist()} for name, v in polygons().items()})
     with tempfile.TemporaryDirectory() as tmp:
         for name, desc in descriptors.items():
@@ -147,10 +170,18 @@ def dump(tree, out_path):
                     "stdout": _stdout(so.getvalue()),
                     "report": _report(report),
                 }
+    bodies.update({name: body.make_body(desc) for name, desc in smooth_descriptors().items()})
     for name, K in bodies.items():
         for phi, psi in ROTATIONS:
             L = normalize.rotate(K, 0.0, phi, psi)
             key = f"{name}@{phi:.3g},{psi:.3g}"
+            for s in (0.0, 0.5):
+                v = normalize.fgh(K, normalize.BoxPoint(s, phi, psi), grid)
+                items[f"fn/fgh/{key},s={s:g}"] = {"fgh": v.tolist()}
+            r22, r23 = normalize.condition_residuals(L, grid)
+            items[f"fn/condition_residuals/{key}"] = {"r22": r22.tolist(), "r23": r23.tolist()}
+            if not isinstance(K, body.SymmetricPolytope):
+                continue
             items[f"fn/rotate/{key}"] = {"vertices": L.vertices.tolist()}
             ang = normalize.balance_angles(L, grid)
             items[f"fn/balance_angles/{key}"] = dataclasses.asdict(ang)

@@ -150,8 +150,21 @@ class ConvexBody3:
         return float(self.support_many(np.asarray(u, dtype=float)[None, :])[0])
 
 
-def _dedup_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Merge rows that agree within tol (coplanar hull simplices)."""
+def _cone6(tris: np.ndarray) -> np.ndarray:
+    """det[a, b, c] per triangle of a (T, 3, 3) array: six times the signed
+    volume of the cone from the origin over it."""
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    return (
+        a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
+        + a[:, 1] * (b[:, 2] * c[:, 0] - b[:, 0] * c[:, 2])
+        + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    )
+
+
+def _dedup_rows(rows: np.ndarray) -> np.ndarray:
+    """Merge rows that agree within 1e-9 of the largest |entry| (coplanar
+    hull simplices); the facet rows scale as 1 / the body's size."""
+    tol = 1e-9 * float(np.max(np.abs(rows)))
     keys = np.round(rows / tol)
     _, idx = np.unique(keys, axis=0, return_index=True)
     out = rows[np.sort(idx)]
@@ -556,7 +569,7 @@ def make_body(spec) -> ConvexBody3:
     kind = spec["type"]
     try:
         if kind == "polytope":
-            return SymmetricPolytope(spec["vertices"])
+            return _finite_volumes(SymmetricPolytope(spec["vertices"]))
         elif kind == "lp":
             return LpBall(spec["p"], spec.get("axes", (1.0, 1.0, 1.0)))
         elif kind == "ellipsoid":
@@ -565,11 +578,22 @@ def make_body(spec) -> ConvexBody3:
             return RadialField(spec["values"])
         elif kind == "transformed":
             # .transformed keeps exact representations (polytope, ellipsoid)
-            return make_body(spec["base"]).transformed(LinearMap3(spec["matrix"]))
+            return _finite_volumes(make_body(spec["base"]).transformed(LinearMap3(spec["matrix"])))
         else:
             raise ParseError(f"unknown body type {kind!r}")
     except KeyError as e:
         raise ParseError(f"body descriptor missing field {e}") from None
+
+
+def _finite_volumes(K: ConvexBody3) -> ConvexBody3:
+    """K, unless it is a polytope whose volume or polar volume is not a finite
+    positive double; checked where a descriptor is built, not per image."""
+    if isinstance(K, SymmetricPolytope):
+        with np.errstate(all="ignore"):
+            vols = [float(np.sum(_cone6(P.vertices[P.triangles]))) / 6.0 for P in (K, K.polar_body())]
+        if not all(0.0 < v < math.inf for v in vols):
+            raise DegenerateBody("polytope volume or polar volume is not a finite positive double")
+    return K
 
 
 def gauge_radial(K: ConvexBody3, v):

@@ -90,10 +90,11 @@ def polar2(P: Polygon2) -> Polygon2:
     return Polygon2(_edge_normals(P.vertices))
 
 
-def _quadrant_gap(P: Polygon2) -> float:
-    """|P ∩ {u >= 0, v >= 0}| - |P ∩ {u <= 0, v >= 0}|, fan sums over the
-    edges clipped to the upper half and then to each side of the v-axis."""
-    upper = _clip_segments(_edges(P.vertices), (0.0, 1.0))
+def _quadrant_gap(v: np.ndarray) -> float:
+    """|P ∩ {u >= 0, v >= 0}| - |P ∩ {u <= 0, v >= 0}| for the polygon P of
+    the counterclockwise vertex array v, fan sums over its edges clipped to
+    the upper half and then to each side of the v-axis."""
+    upper = _clip_segments(_edges(v), (0.0, 1.0))
     right = _fan_area(_clip_segments(upper, (1.0, 0.0)))
     left = _fan_area(_clip_segments(upper, (-1.0, 0.0)))
     return float(right - left)
@@ -112,11 +113,12 @@ def normalize2(P: Polygon2):
     because a quarter turn swaps the two quadrant areas), and (1,0), (0,1)
     on the boundary of P' after diagonal scaling.
     """
-    if abs(_quadrant_gap(P)) <= 1e-15 * P.area():
+    if abs(_quadrant_gap(P.vertices)) <= 1e-15 * P.area():
         t = 0.0
     else:
+        # a rotation of a checked polygon needs no new Polygon2 per step
         t = brent_root(
-            lambda a: _quadrant_gap(P.transformed(_rot2(a))), 0.0, 0.5 * math.pi, "planar balance"
+            lambda a: _quadrant_gap(P.vertices @ _rot2(a).T), 0.0, 0.5 * math.pi, "planar balance"
         )
     R = _rot2(t)
     Q = P.transformed(R)
@@ -125,7 +127,7 @@ def normalize2(P: Polygon2):
     D = np.array([[1.0 / rx, 0.0], [0.0, 1.0 / ry]])
     M = D @ R
     out = P.transformed(M)
-    gap = _quadrant_gap(out)
+    gap = _quadrant_gap(out.vertices)
     if abs(gap) > 1e-10 * out.area():
         raise NotNormalized("quadrant balance residual %.3e" % gap)
     return M, out
@@ -164,7 +166,7 @@ def verify2(P: Polygon2) -> Report2:
     degenerate test point O, whose pairing is trivially 0.
     """
     area = P.area()
-    if abs(_quadrant_gap(P)) > 1e-8 * area:
+    if abs(_quadrant_gap(P.vertices)) > 1e-8 * area:
         raise NotNormalized("quadrant areas differ; run normalize2 first")
     if abs(P.gauge((1.0, 0.0)) - 1.0) > 1e-8 or abs(P.gauge((0.0, 1.0)) - 1.0) > 1e-8:
         raise NotNormalized("(1,0) and (0,1) must lie on the boundary")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .body import ConvexBody3, SymmetricPolytope, polar
 from .errors import MembershipViolated, SingularFace
-from .normalize import _condition_residuals
+from .normalize import _r23
 from .quadrature import (
     GL64,
     SphereGrid,
@@ -224,8 +224,7 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid) -> ChainReport:
     product = vol * vol_p
     ov = octant_volumes(K, grid)
     qa = quarter_areas(K)
-    _, r23 = _condition_residuals(ov, qa)
-    resid = float(np.max(np.abs(r23))) / vol
+    resid = float(np.max(np.abs(_r23(ov, qa)))) / vol
     applicable = resid < 1e-4
     cv = _curve_vectors(K, qa)
     piece = ov[:4]

@@ -103,18 +103,6 @@ def describe_body(K):
 # reports
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def emit_report(report, format: str, path: str) -> None:
     """Write a report deterministically (UTF-8, trailing newline).
 
@@ -122,7 +110,8 @@ def emit_report(report, format: str, path: str) -> None:
     {"header": [names], "rows": [[floats]]} with shortest round-trip floats.
     """
     if format == "json":
-        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+        # numpy arrays and scalars (np.bool_ too) as their Python values
+        text = json.dumps(report, indent=2, sort_keys=True, default=lambda x: x.tolist()) + "\n"
     elif format == "csv":
         lines = [",".join(report["header"])]
         for row in report["rows"]:
@@ -226,7 +215,7 @@ def _cmd_sweep(K, grid, args):
     for s in svals:
         for phi in avals:
             for psi in avals:
-                F, G, H = field(s, phi, psi)[1][0]
+                F, G, H = field(s, phi, psi).fgh
                 rows.append([s, phi, psi, F, G, H])
     out = {"header": ["s", "phi", "psi", "F", "G", "H"], "rows": rows}
     print(f"sweep         {n}^3 = {len(rows)} samples")

@@ -31,13 +31,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import planar
-from .body import ConvexBody3, LinearMap3, SymmetricPolytope, _rotation, sphere_point
+from .body import ConvexBody3, LinearMap3, SymmetricPolytope, _cone6, _rotation, sphere_point
 from .errors import BadParameter, NoConvergence, NotGeneric, NoZeroFound
 from .planar import _clip_segments
 from .quadrature import (
     GL64,
     SphereGrid,
-    _cone6,
+    _plane_quarters,
     _split,
     octant_volumes,
     quarter_areas,
@@ -67,11 +67,16 @@ class BoxPoint:
 
 @dataclass
 class NormalizationResult:
+    """One box point's evaluation: the body X(theta) Y(phi) Z(psi) K under
+    its own shear, and its (F, G, H)."""
+
     angles: tuple  # (theta, phi, psi)
     shear: LinearMap3
     normalized_body: ConvexBody3
     residual23: np.ndarray  # 4 signed residuals of the target condition
-    fgh_norm: float
+    fgh_norm: float  # max |fgh|
+    fgh: np.ndarray  # (F, G, H)
+    balance: BalanceAngles  # of the rotated body, before its shear
 
 
 @dataclass
@@ -278,17 +283,17 @@ def rotate(K: ConvexBody3, theta: float, phi: float, psi: float) -> ConvexBody3:
 
 def _fgh_body(L: ConvexBody3, grid: SphereGrid):
     """(F,G,H) of a body under its own shear; also the balance angles, the
-    shear, the sheared body and its target residuals r23."""
+    shear, the sheared body and its target residuals r23.  Of the quarter
+    areas only the plane-1 pair is computed: it gives F and the last r23."""
     ang = balance_angles(L, grid)
     A = shear_matrix(ang)
     M = L.transformed(A)
-    qa = quarter_areas(M)
+    qa = _plane_quarters(M, 1)
     ov = octant_volumes(M, grid)
     F = qa[0] - qa[1]
     G = ov[0] + ov[2] - ov[1] - ov[3]
     H = ov[0] + ov[3] - ov[1] - ov[2]
-    _, r23 = _condition_residuals(ov, qa)
-    return np.array([F, G, H]), ang, A, M, r23
+    return np.array([F, G, H]), ang, A, M, _r23(ov, qa)
 
 
 def _theta_cap0(K: ConvexBody3, phi: float, psi: float, grid: SphereGrid) -> float:
@@ -297,34 +302,39 @@ def _theta_cap0(K: ConvexBody3, phi: float, psi: float, grid: SphereGrid) -> flo
 
 
 def _box_field(K: ConvexBody3, grid: SphereGrid):
-    """The field over the box: a function of (s, phi, psi) that gives
-    theta = (pi - Theta(0, phi, psi)) s and the _fgh_body evaluation of
-    X(theta) Y(phi) Z(psi) K.  Theta(0, phi, psi) is solved once per exact
-    (phi, psi) pair over the life of the returned function."""
+    """The only evaluator of the field over the box: a memoised function of
+    (s, phi, psi) that gives the NormalizationResult of X(theta) Y(phi) Z(psi) K
+    under its own shear, theta = (pi - Theta(0, phi, psi)) s.  Each box point
+    is evaluated once and Theta(0, phi, psi) solved once per exact (phi, psi)
+    pair over the life of the returned function; at s = +-0, theta is s itself
+    and Theta(0, phi, psi) is not solved."""
     th0 = functools.cache(lambda phi, psi: _theta_cap0(K, phi, psi, grid))
 
-    def field(s, phi, psi):
-        theta = (PI - th0(phi, psi)) * s
-        return theta, _fgh_body(rotate(K, theta, phi, psi), grid)
+    @functools.cache
+    def point(s, phi, psi) -> NormalizationResult:
+        theta = s if s == 0 else (PI - th0(phi, psi)) * s
+        v, ang, A, M, r23 = _fgh_body(rotate(K, theta, phi, psi), grid)
+        return NormalizationResult((theta, phi, psi), A, M, r23, float(np.max(np.abs(v))), v, ang)
 
-    return field
+    return point
 
 
 def fgh(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> np.ndarray:
     """(F, G, H) at a box point (s, phi, psi)."""
-    return _box_field(K, grid)(point.s, point.phi, point.psi)[1][0]
+    return _box_field(K, grid)(point.s, point.phi, point.psi).fgh
 
 
 def condition_residuals(K: ConvexBody3, grid: SphereGrid):
     """Signed residuals of the shear condition (r22) and the target (r23)."""
-    return _condition_residuals(octant_volumes(K, grid), quarter_areas(K))
-
-
-def _condition_residuals(ov, qa):
-    """r22, r23 from the octant volumes ov and quarter areas qa of a body."""
+    ov, qa = octant_volumes(K, grid), quarter_areas(K)
     r22 = np.array([qa[2] - qa[3], qa[4] - qa[5], ov[0] + ov[1] - ov[2] - ov[3]])
-    r23 = np.array([ov[0] - ov[1], ov[0] - ov[2], ov[0] - ov[3], qa[0] - qa[1]])
-    return r22, r23
+    return r22, _r23(ov, qa)
+
+
+def _r23(ov, qa):
+    """The target residuals r23 from the octant volumes ov and the quarter
+    areas qa of a body; only the plane-1 pair (|O*d|, |O*e|) of qa is read."""
+    return np.array([ov[0] - ov[1], ov[0] - ov[2], ov[0] - ov[3], qa[0] - qa[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +384,10 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
     """
     s, phi, psi = point.s, point.phi, point.psi
     # at s = 0 the face_s partner is the point itself
-    field = functools.cache(_box_field(K, grid))
-    theta, (FL, angL, *_) = field(s, phi, psi)
-    L = rotate(K, theta, phi, psi)
+    field = _box_field(K, grid)
+    here = field(s, phi, psi)
+    FL, angL = here.fgh, here.balance
+    L = rotate(K, here.angles[0], phi, psi)
     a = (angL.theta_cap, angL.phi_cap, angL.psi_cap)
     # one row per map of L: the image's (Theta, Phi, Psi) as (index i into a,
     # relation), where "=" expects a[i], "-" expects pi - a[i] and "+" checks
@@ -408,8 +419,8 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
         ("face_psi", (s, phi, PI), (s, PI - phi, 0.0), ((1, 0), (-1, 1), (-1, 2))),
     )
     for name, face, partner, signs in face_pairs:
-        f1 = field(*face)[1][0]
-        f0 = field(*partner)[1][0]
+        f1 = field(*face).fgh
+        f0 = field(*partner).fgh
         for label, f, (sign, i) in zip("FGH", f1, signs):
             res[f"{name}_{label}"] = abs(f - sign * f0[i])
 
@@ -435,23 +446,23 @@ def _contour_angles(t: float):
 
 
 def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
+    """Winding number of (G, H) around the boundary of the s = 0 face, whose
+    points (0, phi, psi) are read through the box field: t = 0 and t = 4 pi
+    are the same point, evaluated once."""
     volK = volume(K, grid)
-    # keyed on the angles: t = 0 and t = 4 pi are the same point
-    cache: dict[tuple, tuple] = {}
+    field = _box_field(K, grid)
 
     def gh(t: float, kind: str = "inserted by refinement"):
         key = _contour_angles(t)
-        if key not in cache:
-            v = _fgh_body(rotate(K, 0.0, *key), grid)[0]
-            r = math.hypot(v[1], v[2])
-            if r < 1e-9 * volK:
-                raise NotGeneric(
-                    f"(G,H) vanishes on the contour at t = {float(t)!r}, (phi, psi) = "
-                    f"{tuple(map(float, key))}, {kind}: |(G,H)| = {r / volK:.2g} |K|, "
-                    "below the 1e-9 |K| threshold"
-                )
-            cache[key] = (v[1], v[2])
-        return cache[key]
+        v = field(0.0, *key).fgh
+        r = math.hypot(v[1], v[2])
+        if r < 1e-9 * volK:
+            raise NotGeneric(
+                f"(G,H) vanishes on the contour at t = {float(t)!r}, (phi, psi) = "
+                f"{tuple(map(float, key))}, {kind}: |(G,H)| = {r / volK:.2g} |K|, "
+                "below the 1e-9 |K| threshold"
+            )
+        return v[1], v[2]
 
     ts = list(np.linspace(0.0, 4 * PI, n_samples + 1))
     for t in ts:
@@ -489,10 +500,10 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     volK = volume(K, grid)
     target = 1e-8 * volK
     # every box point is evaluated once; the winner's evaluation is the result
-    point = functools.cache(_box_field(K, grid))
+    point = _box_field(K, grid)
 
     def f(x):
-        return point(*x)[1][0]
+        return point(*x).fgh
 
     def norm(v):
         return float(np.max(np.abs(v)))
@@ -549,14 +560,13 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
         return None
 
     # quick exit for bodies already normalized at the origin of the box
-    theta0, origin = point(0.0, 0.0, 0.0)
-    v0 = origin[0]
-    if norm(v0) < target:
-        return _result((theta0, 0.0, 0.0), origin)
+    origin = point(0.0, 0.0, 0.0)
+    if origin.fgh_norm < target:
+        return origin
 
     svals = np.linspace(0.0, 1.0, 9)
     avals = np.linspace(0.0, PI, 9)
-    cand = [(norm(v0), (0.0, 0.0, 0.0), v0)]
+    cand = [(origin.fgh_norm, (0.0, 0.0, 0.0), origin.fgh)]
     for phi, psi, s in itertools.product(avals, avals, svals):
         x = np.array([s, phi, psi])
         v = f(x)
@@ -586,18 +596,4 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     if not zeros:
         raise NoZeroFound("no zero of (F,G,H) located in the box")
     zeros.sort(key=lambda z: (norm(z[1]), tuple(np.round(z[0], 9))))
-    s, phi, psi = zeros[0][0]
-    theta, final = point(s, phi, psi)
-    return _result((theta, phi, psi), final)
-
-
-def _result(angles, evaluation) -> NormalizationResult:
-    """The result at rotation angles (theta, phi, psi) from its field evaluation."""
-    v, _, A, M, r23 = evaluation
-    return NormalizationResult(
-        angles=angles,
-        shear=A,
-        normalized_body=M,
-        residual23=r23,
-        fgh_norm=float(np.max(np.abs(v))),
-    )
+    return point(*zeros[0][0])

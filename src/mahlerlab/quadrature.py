@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .body import ConvexBody3, SymmetricPolytope, polar, sphere_point
+from .body import ConvexBody3, SymmetricPolytope, _cone6, polar, sphere_point
 from .errors import BadGridSize, ClassificationUnstable, NoConvergence
 from .planar import _clip_segments, _fan_area
 
@@ -97,17 +97,6 @@ def volume(K: ConvexBody3, grid: SphereGrid) -> float:
         return float(np.sum(_cone6(K.vertices[K.triangles]))) / 6.0
     rho = K.radial_many(grid.units)
     return float(np.sum(grid.weights * rho**3) / 3.0)
-
-
-def _cone6(tris: np.ndarray) -> np.ndarray:
-    """det[a, b, c] per triangle of a (T, 3, 3) array: six times the signed
-    volume of the cone from the origin over it."""
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    return (
-        a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
-        + a[:, 1] * (b[:, 2] * c[:, 0] - b[:, 0] * c[:, 2])
-        + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    )
 
 
 # per side code 4*s0 + 2*s1 + s2 of a triangle's vertices (s = 1 on the side
@@ -272,11 +261,6 @@ def _section_segments(K: SymmetricPolytope, F: np.ndarray) -> np.ndarray:
     return _split(K.vertices[K.triangles], F[2])[3] @ F[:2].T
 
 
-def _coordinate_sections(K: SymmetricPolytope) -> np.ndarray:
-    """(3, T, 2, 2): the cut segments of the planes 1, 2, 3."""
-    return np.stack([_section_segments(K, _PLANE_FRAMES[p]) for p in (1, 2, 3)])
-
-
 def _section_vertices(seg: np.ndarray) -> np.ndarray:
     """The start points of the non-degenerate (u, v) segments, sorted by
     angle: the section polygon, counterclockwise."""
@@ -316,7 +300,7 @@ def section_areas(K: ConvexBody3) -> np.ndarray:
     """|K ∩ e_i^⊥| for i = 1, 2, 3: fan sums over the cut segments for
     polytopes, (1/2) of the integral of rho^2 around the circle otherwise."""
     if isinstance(K, SymmetricPolytope):
-        return _fan_area(_coordinate_sections(K))
+        return np.array([_fan_area(_section_segments(K, _PLANE_FRAMES[p])) for p in (1, 2, 3)])
     return np.array([_section_area_quad(K, p) for p in (1, 2, 3)])
 
 
@@ -330,16 +314,6 @@ def projection_areas(K: ConvexBody3) -> np.ndarray:
     return np.array([_projection_area_quad(K, p) for p in (1, 2, 3)])
 
 
-# quarter-plane cone pieces: (plane, quadrant signs in plane coords)
-_QUARTERS = (
-    (1, 1, 1),  # O*d : x=0, y>=0, z>=0
-    (1, -1, 1),  # O*e : x=0, y<=0, z>=0
-    (2, 1, 1),  # O*f : y=0, z>=0, x>=0
-    (2, -1, 1),  # O*g : y=0, z<=0, x>=0
-    (3, 1, 1),  # O*h : z=0, x>=0, y>=0
-    (3, -1, 1),  # O*i : z=0, x<=0, y>=0
-)
-
 # the package's one 64-point Gauss-Legendre rule on [-1, 1]
 GL64 = np.polynomial.legendre.leggauss(64)
 
@@ -351,17 +325,22 @@ def _arc_area(K: ConvexBody3, plane: int, t0: float, t1: float) -> float:
     return 0.25 * (t1 - t0) * float(np.sum(w * rho**2))
 
 
-def quarter_areas(K: ConvexBody3) -> np.ndarray:
-    """(|O*d|, |O*e|, |O*f|, |O*g|, |O*h|, |O*i|)."""
+def _plane_quarters(K: ConvexBody3, plane: int) -> np.ndarray:
+    """The two quarter areas of a central plane: the cones over the half
+    v >= 0 of its section on the sides u >= 0 and u <= 0, in its (u, v)
+    frame.  (|O*d|, |O*e|) for plane 1 (x = 0), (|O*f|, |O*g|) for plane 2
+    and (|O*h|, |O*i|) for plane 3."""
     if isinstance(K, SymmetricPolytope):
-        # the halves v >= 0 of the three sections, then their quadrants
-        # u >= 0 and u <= 0, in the order of _QUARTERS
-        upper = _clip_segments(_coordinate_sections(K), (0.0, 1.0))
-        right = _fan_area(_clip_segments(upper, (1.0, 0.0)))
-        left = _fan_area(_clip_segments(upper, (-1.0, 0.0)))
-        return np.column_stack([right, left]).ravel()
-    arcs = {1: (0.0, 0.5 * math.pi), -1: (0.5 * math.pi, math.pi)}
-    return np.array([_arc_area(K, p, *arcs[s0]) for p, s0, _ in _QUARTERS])
+        upper = _clip_segments(_section_segments(K, _PLANE_FRAMES[plane]), (0.0, 1.0))
+        return np.array([_fan_area(_clip_segments(upper, m)) for m in ((1.0, 0.0), (-1.0, 0.0))])
+    half = 0.5 * math.pi
+    return np.array([_arc_area(K, plane, 0.0, half), _arc_area(K, plane, half, math.pi)])
+
+
+def quarter_areas(K: ConvexBody3) -> np.ndarray:
+    """(|O*d|, |O*e|, |O*f|, |O*g|, |O*h|, |O*i|): the quarter pairs of the
+    planes 1, 2, 3."""
+    return np.concatenate([_plane_quarters(K, p) for p in (1, 2, 3)])
 
 
 # ---------------------------------------------------------------------------

@@ -283,11 +283,11 @@ def bisect_normalize2(P):
     quarter turn on the quadrant gap, whose sign the quarter turn flips."""
     from mahlerlab.bound2d import _quadrant_gap, _rot2
 
-    g0 = _quadrant_gap(P)
+    g0 = _quadrant_gap(P.vertices)
     if abs(g0) <= 1e-15 * P.area():
         return 0.0
     return bisect(
-        lambda a: (_quadrant_gap(P.transformed(_rot2(a))) < 0) == (g0 < 0),
+        lambda a: (_quadrant_gap(P.vertices @ _rot2(a).T) < 0) == (g0 < 0),
         0.0,
         0.5 * math.pi,
         80,

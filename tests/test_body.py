@@ -121,6 +121,18 @@ class TestConstruction:
             # every facet is supported by at least three vertices
             assert np.all(np.sum(np.abs(vals - 1.0) < 1e-9, axis=0) >= 3)
 
+    @pytest.mark.parametrize("scale", [1e9, 1e10, 1e20, 1e70])
+    def test_large_polytopes_keep_their_facets(self, scale):
+        # the facet rows scale as 1 / scale; their merge tolerance follows
+        K = SymmetricPolytope(scale * cube().vertices)
+        assert len(K.facets) == 6
+        assert np.allclose(K.facets * scale, cube().facets, rtol=0.0, atol=1e-12)
+        pts = np.random.default_rng(8).standard_normal((8, 3))
+        unit = SymmetricPolytope(np.vstack([pts, -pts]))
+        big = SymmetricPolytope(scale * np.vstack([pts, -pts]))
+        assert len(big.facets) == len(unit.facets)
+        assert np.allclose(big.facets * scale, unit.facets, rtol=1e-12, atol=0.0)
+
 
 class TestGaugeRadial:
     def test_cube_gauge(self):

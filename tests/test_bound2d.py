@@ -163,6 +163,23 @@ class TestNormalize2:
         assert Q.gauge((1.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
         assert Q.gauge((0.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_polygons_per_call(self, monkeypatch):
+        # Brent's steps turn the checked vertex array; only the turned and the
+        # scaled polygon are built and checked
+        polygons = [random_polygon(np.random.default_rng(seed), pairs) for seed, pairs in ((0, 2), (1, 3), (2, 6))]
+        calls = []
+        init = Polygon2.__init__
+
+        def counted(self, vertices):
+            calls.append(len(vertices))
+            init(self, vertices)
+
+        monkeypatch.setattr(Polygon2, "__init__", counted)
+        for P in polygons:
+            calls.clear()
+            normalize2(P)
+            assert 1 <= len(calls) <= 2
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_hexagon_balanced(self, seed):
@@ -249,7 +266,7 @@ class TestFanKernel:
         P = random_polygon(np.random.default_rng(seed), pairs).transformed(rot)
         v = P.vertices
         want = shoelace(oracles.clip_quadrant(v, 1, 1)) - shoelace(oracles.clip_quadrant(v, -1, 1))
-        assert abs(_quadrant_gap(P) - want) <= 1e-12 * P.area()
+        assert abs(_quadrant_gap(v) - want) <= 1e-12 * P.area()
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 100_000), pairs=st.integers(2, 12))

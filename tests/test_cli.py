@@ -117,6 +117,26 @@ class TestExitCodes:
         assert cli.run([command, "--body", p]) == cli.EXIT_INVALID
         assert "invalid body" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["vp", "verify", "polar"])
+    @pytest.mark.parametrize("case", ["cube_1e200", "image_1e200"])
+    def test_polytope_volume_overflow(self, tmp_path, command, case, capsys):
+        # finite vertices or matrix whose volume overflows a double: a refused body
+        spec = {"type": "polytope", "vertices": (1e200 * cube().vertices).tolist()}
+        if case == "image_1e200":
+            spec = {"type": "transformed", "base": {"type": "polytope", "vertices": cube().vertices.tolist()},
+                    "matrix": (1e200 * np.eye(3)).tolist()}
+        p = write_body(tmp_path / "huge.json", spec)
+        with np.errstate(all="ignore"):
+            assert cli.run([command, "--body", p, "--grid", "32x64"]) == cli.EXIT_INVALID
+        assert "polar volume is not a finite positive double" in capsys.readouterr().err
+
+    def test_large_cube(self, tmp_path):
+        # the facet rows of a 1e9 cube are 1e-9 apart: all six are kept
+        p = write_body(tmp_path / "big.json", {"type": "polytope", "vertices": (1e9 * cube().vertices).tolist()})
+        out = tmp_path / "vp.json"
+        assert cli.run(["vp", "--body", p, "--grid", "32x64", "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["product"] == pytest.approx(32.0 / 3.0, rel=1e-12)
+
     def test_large_square(self, tmp_path):
         p = write_body(tmp_path / "big.json", {"dim": 2, "vertices": (1e100 * np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])).tolist()})
         out = tmp_path / "vp.json"
@@ -187,6 +207,13 @@ class TestEmitReport:
         text = out.read_text()
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    def test_json_numpy_values(self, tmp_path):
+        # arrays, float and integer scalars and np.bool_ are written as their Python values
+        out = tmp_path / "r.json"
+        report = {"a": np.arange(2.0), "b": np.bool_(True), "c": (np.int64(3), np.float64(0.1))}
+        cli.emit_report(report, "json", str(out))
+        assert json.loads(out.read_text()) == {"a": [0.0, 1.0], "b": True, "c": [3, 0.1]}
 
     def test_csv_round_trip_floats(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -176,6 +176,20 @@ class TestPolytopeSolvers:
         assert np.all(np.isfinite(v)) and 0.0 < ang.theta_cap < PI
         assert balance_angles(L, grid) == ang
 
+    def test_fgh_body_cuts_one_section(self, grid, monkeypatch):
+        # F and r23 read only the plane-1 quarter areas: the sheared body is
+        # cut by the plane x = 0 alone
+        normals = []
+        section = quadrature._section_segments
+
+        def counted(K, F):
+            normals.append(F[2].tolist())
+            return section(K, F)
+
+        monkeypatch.setattr(quadrature, "_section_segments", counted)
+        normalize._fgh_body(rotate(POLYTOPES["random1"](), 0.4, 1.0, 2.0), grid)
+        assert normals == [[1.0, 0.0, 0.0]]
+
     def test_no_qhull_in_the_chain(self, grid, monkeypatch):
         # sections, shadows, pieces and curve vectors of a polytope and of its
         # polar run on the carried triangles, and planar imports no qhull
@@ -503,6 +517,21 @@ class TestWinding:
         with pytest.raises(errors.NotGeneric, match=where):
             winding(cube(), 32, grid)
 
+    def test_contour_read_through_box_field(self, monkeypatch):
+        # every contour point is the box point (0, phi, psi) of the one field
+        points = []
+        box_field = normalize._box_field
+
+        def traced(K, grid):
+            field = box_field(K, grid)
+            return lambda s, phi, psi: points.append((s, phi, psi)) or field(s, phi, psi)
+
+        monkeypatch.setattr(normalize, "_box_field", traced)
+        tr = winding(perturbed_cube(np.random.default_rng(84)), 64, make_grid(32, 64))
+        assert {s for s, _, _ in points} == {0.0}
+        contour = {normalize._contour_angles(t) for t in tr.samples[:, 0]}
+        assert {(phi, psi) for _, phi, psi in points} == contour
+
     def test_each_contour_point_evaluated_once(self, monkeypatch):
         # t = 0 and t = 4 pi are the same point of the contour
         calls = []
@@ -536,6 +565,31 @@ class TestFindNormalization:
         res = find_normalization(Ellipsoid.from_axes(1.2, 0.8, 1.1), grid)
         assert res.angles == (0.0, 0.0, 0.0)
         assert len(calls) == 1
+
+    def test_origin_solves_no_theta0(self, grid, monkeypatch):
+        # theta = (pi - Theta_0) s is s itself at s = 0: neither the quick exit
+        # nor fgh on the s = 0 face solves Theta(0, phi, psi)
+        def refuse(*a):
+            raise AssertionError("Theta(0, phi, psi) solved at s = 0")
+
+        monkeypatch.setattr(normalize, "_theta_cap0", refuse)
+        assert find_normalization(LpBall(3.0, (1.0, 0.7, 1.3)), grid).angles == (0.0, 0.0, 0.0)
+        v = fgh(random_smooth_body(np.random.default_rng(75)), BoxPoint(0.0, 1.1, 2.3), grid)
+        assert np.all(np.isfinite(v))
+
+    def test_result_is_the_box_record(self, grid):
+        # a search returns its winner's record of the one box field: the
+        # rotated body's balance angles, its shear and (F, G, H)
+        K = perturbed_cube(np.random.default_rng(76))
+        res = find_normalization(K, grid)
+        assert res.fgh_norm == float(np.max(np.abs(res.fgh)))
+        L = rotate(K, *res.angles)
+        assert res.balance == balance_angles(L, grid)
+        assert np.array_equal(res.shear.matrix, shear_matrix(res.balance).matrix)
+        point = normalize._box_field(K, grid)
+        rec = point(0.37, 1.2, 2.5)
+        assert point(0.37, 1.2, 2.5) is rec
+        assert rec.fgh_norm == float(np.max(np.abs(rec.fgh)))
 
     def test_no_point_evaluated_twice(self, monkeypatch):
         # the rotation angles (theta, phi, psi) of each field evaluation stand

@@ -187,6 +187,10 @@ def _cone_sum_bodies():
 
 _CONE_SUM_BODIES = _cone_sum_bodies()
 
+# the quarters in the order of quarter_areas: (plane, sign of the first
+# in-plane coordinate, sign of the second)
+_QUARTERS = ((1, 1, 1), (1, -1, 1), (2, 1, 1), (2, -1, 1), (3, 1, 1), (3, -1, 1))
+
 
 class TestConeSumsMatchQhull:
     """Volume, octants, wedges and polar pieces of a polytope from its
@@ -235,7 +239,7 @@ class TestConeSumsMatchQhull:
             assert planar.shoelace(section_polygon(K, p)) == pytest.approx(Q[p - 1], rel=1e-12)
         want = [
             planar.shoelace(oracles.clip_quadrant(sections[p], s0, s1))
-            for p, s0, s1 in quadrature._QUARTERS
+            for p, s0, s1 in _QUARTERS
         ]
         assert np.allclose(quarter_areas(K), want, rtol=1e-12, atol=0.0)
         ang = balance_angles(K, grid)
