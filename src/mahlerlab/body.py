@@ -151,13 +151,13 @@ class ConvexBody3:
 
 
 def _cone6(tris: np.ndarray) -> np.ndarray:
-    """det[a, b, c] per triangle of a (T, 3, 3) array: six times the signed
+    """det[a, b, c] per triangle of a (..., 3, 3) array: six times the signed
     volume of the cone from the origin over it."""
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    a, b, c = tris[..., 0, :], tris[..., 1, :], tris[..., 2, :]
     return (
-        a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
-        + a[:, 1] * (b[:, 2] * c[:, 0] - b[:, 0] * c[:, 2])
-        + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+        a[..., 0] * (b[..., 1] * c[..., 2] - b[..., 2] * c[..., 1])
+        + a[..., 1] * (b[..., 2] * c[..., 0] - b[..., 0] * c[..., 2])
+        + a[..., 2] * (b[..., 0] * c[..., 1] - b[..., 1] * c[..., 0])
     )
 
 
@@ -211,22 +211,27 @@ class SymmetricPolytope(ConvexBody3):
         _check_symmetric_vertices(verts)
         if len(verts) < 4:
             raise DegenerateBody("need at least 4 vertices in R^3")
+        # the hull runs on the vertices scaled by a power of two into [1/2, 1),
+        # which is exact, so qhull's tolerances and the interior test are
+        # relative to the body's size
+        scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(verts))))[1])
+        unit = verts * scale
         try:
-            hull = ConvexHull(verts)
+            hull = ConvexHull(unit)
         except QhullError as e:
             raise DegenerateBody(f"vertices are affinely dependent: {e}") from None
-        n, b = hull.equations[:, :3], hull.equations[:, 3]  # n.x + b <= 0
+        n, b = hull.equations[:, :3], hull.equations[:, 3]  # n.x + b <= 0 on the scaled vertices
         if np.any(b >= -1e-12):
             raise OriginNotInterior("origin is not interior to the hull")
         # orient each simplex so that its right-hand normal is the facet's outward n
-        tri = verts[hull.simplices]
+        tri = unit[hull.simplices]
         right = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         inward = np.einsum("ij,ij->i", right, n) < 0
         simplices = np.where(inward[:, None], hull.simplices[:, ::-1], hull.simplices)
         index = np.zeros(len(verts), dtype=np.intp)
         index[hull.vertices] = np.arange(len(hull.vertices))  # extreme only
         self._set_parts(
-            verts[hull.vertices], _dedup_rows(n / (-b[:, None])), index[simplices]
+            verts[hull.vertices], _dedup_rows(n / (-b[:, None])) * scale, index[simplices]
         )
 
     def _set_parts(self, verts, facets, triangles):
@@ -287,8 +292,11 @@ def _polar_fans(K: SymmetricPolytope) -> np.ndarray:
     count = np.bincount(v, minlength=len(V))
     centre = np.stack([np.bincount(v, F[f, k], len(V)) for k in range(3)], axis=1)
     d = F[f] - centre[v] / count[v, None]
+    # unit rows: the angle order is the same in any positive frame, but on a
+    # huge or tiny body unequal row lengths would round every angle to +-pi/2
     e1 = np.cross(V, np.eye(3)[np.argmin(np.abs(V), axis=1)])
-    e2 = np.cross(V, e1)  # e1 x e2 is along +v
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    e2 = np.cross(V / np.linalg.norm(V, axis=1)[:, None], e1)  # e1 x e2 is along +v
     angle = np.arctan2(np.einsum("ij,ij->i", d, e2[v]), np.einsum("ij,ij->i", d, e1[v]))
     order = np.lexsort((angle, v))
     v, f = v[order], f[order]

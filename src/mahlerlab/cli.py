@@ -210,13 +210,8 @@ def _cmd_sweep(K, grid, args):
         raise ParseError(f"--n must be at least 1, got {n}")
     svals = np.linspace(0.0, 1.0, n)
     avals = np.linspace(0.0, np.pi, n)
-    field = _box_field(K, grid)
-    rows = []
-    for s in svals:
-        for phi in avals:
-            for psi in avals:
-                F, G, H = field(s, phi, psi).fgh
-                rows.append([s, phi, psi, F, G, H])
+    points = [(s, phi, psi) for s in svals for phi in avals for psi in avals]
+    rows = [[*x, *rec.fgh] for x, rec in zip(points, _box_field(K, grid).many(points))]
     out = {"header": ["s", "phi", "psi", "F", "G", "H"], "rows": rows}
     print(f"sweep         {n}^3 = {len(rows)} samples")
     return out, "csv", EXIT_OK

@@ -17,7 +17,9 @@ root of the exact wedge volume, whose derivative comes from the same cut
 of the boundary triangles.  Phi and Psi are closed forms on the cut
 segments of the half-sections: Theta's solve cuts the triangles at z = 0,
 which gives the beta = 0 section, and keeps their upper halves, whose one
-cut at beta = Theta gives the half-section there.
+cut at beta = Theta gives the half-section there.  The polytope path runs
+on a stack of rotated bodies at once, one row per box point, so the field
+evaluates many box points in one pass of array operations.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ from scipy.optimize import least_squares
 from . import planar
 from .body import ConvexBody3, LinearMap3, SymmetricPolytope, _cone6, _rotation, sphere_point
 from .errors import BadParameter, NoConvergence, NotGeneric, NoZeroFound
-from .planar import _clip_segments
+from .planar import _clip_segments, _fan_area
 from .quadrature import (
     GL64,
     SphereGrid,
+    _cut,
     _plane_quarters,
     _split,
+    _upper_octants,
     octant_volumes,
     quarter_areas,
     volume,
@@ -72,11 +76,17 @@ class NormalizationResult:
 
     angles: tuple  # (theta, phi, psi)
     shear: LinearMap3
-    normalized_body: ConvexBody3
     residual23: np.ndarray  # 4 signed residuals of the target condition
     fgh_norm: float  # max |fgh|
     fgh: np.ndarray  # (F, G, H)
     balance: BalanceAngles  # of the rotated body, before its shear
+    base: ConvexBody3  # K
+
+    @functools.cached_property
+    def normalized_body(self) -> ConvexBody3:
+        """X(theta) Y(phi) Z(psi) K under its shear, built when first read:
+        of the many points a search evaluates, only its result needs it."""
+        return rotate(self.base, *self.angles).transformed(self.shear)
 
 
 @dataclass
@@ -128,82 +138,119 @@ def _half_balance(vals: np.ndarray) -> float:
 # balance angles and shear
 
 
-def _theta_polytope(K: SymmetricPolytope):
-    """Exact theta balance for polytopes: V(b) = |K ∩ {0 <= beta <= b}| = |K|/4.
+def _theta_polytopes(tris: np.ndarray):
+    """Exact theta balance for a (B, T, 3, 3) stack of polytope boundary
+    triangles: V(b) = |K ∩ {0 <= beta <= b}| = |K|/4 for each row's K.
 
     The wedge over [0, pi] is half of K by central symmetry.  The upper half
-    z >= 0 of the boundary triangles is cut once; each Newton step cuts it by
-    the plane at beta = b, which gives V and V' together (_theta_wedge).  A
-    step that would leave the bracket bisects it instead, as in _half_balance,
-    and the solve ends at a step of at most 1e-15 or a residual within the
-    round-off of V.
+    z >= 0 of the triangles is cut into pieces once; each Newton round cuts
+    them by the plane at beta = b of every unfinished row, which gives V and
+    V' together (_theta_wedge).  A step that would leave its row's bracket
+    bisects it instead, as in _half_balance, and a row ends at a step of at
+    most 1e-15 or a residual within the round-off of V.  A finished row
+    leaves the rounds, so its numbers are those of its polytope alone.
 
-    Returns (Theta, the upper pieces, the cut segments of the plane z = 0),
-    from which balance_angles takes the half-sections of Phi and Psi."""
-    tris = K.vertices[K.triangles]
-    target = 0.25 * (float(np.sum(_cone6(tris))) / 6.0)  # a quarter of volume(K)
-    pieces, _, upper, zseg = _split(tris, np.array([0.0, 0.0, 1.0]))
-    upper = pieces[upper]
-    lo, hi = 1e-5, PI - 1e-5
-    b = 0.5 * PI
+    Returns (Theta per row, the upper pieces, the cut segments of the plane
+    z = 0), from which _balance_polytopes takes the half-sections of Phi and
+    Psi."""
+    target = 0.25 * (np.sum(_cone6(tris), axis=-1) / 6.0)  # a quarter of volume(K)
+    upper, _, zseg = _split(tris, np.array([0.0, 0.0, 1.0]))
+    cone = _cone6(upper)
+    n = len(tris)
+    lo, hi, b = np.full(n, 1e-5), np.full(n, PI - 1e-5), np.full(n, 0.5 * PI)
+    theta = np.empty(n)
+    rows = np.arange(n)
     for _ in range(16):
-        V, dV = _theta_wedge(upper, b)
-        lo, hi = (b, hi) if V < target else (lo, b)
-        nxt = b - (V - target) / dV if dV > 0 else math.nan
-        nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
-        if abs(nxt - b) <= 1e-15 or abs(V - target) <= 8 * np.finfo(float).eps * target:
-            return float(nxt), upper, zseg
-        b = nxt
+        V, dV = _theta_wedge(upper[rows], cone[rows], b[rows])
+        t, b0 = target[rows], b[rows]
+        below = V < t
+        lo[rows] = np.where(below, b0, lo[rows])
+        hi[rows] = np.where(below, hi[rows], b0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(dV > 0, b0 - (V - t) / dV, math.nan)
+        nxt = np.where((lo[rows] <= nxt) & (nxt <= hi[rows]), nxt, 0.5 * (lo[rows] + hi[rows]))
+        done = (np.abs(nxt - b0) <= 1e-15) | (np.abs(V - t) <= 8 * np.finfo(float).eps * t)
+        theta[rows[done]] = nxt[done]
+        b[rows] = nxt
+        rows = rows[~done]
+        if not len(rows):
+            return theta, upper, zseg
     raise NoConvergence("theta balance: no Newton convergence in 16 steps")
 
 
-def _theta_wedge(upper: np.ndarray, b: float):
-    """(V(b), V'(b)) from the pieces of the boundary triangles in z >= 0.
+def _theta_wedge(upper: np.ndarray, cone: np.ndarray, b: np.ndarray):
+    """(V(b), V'(b)) per row from the (B, P, 3, 3) pieces of the boundary
+    triangles in z >= 0, their cones det(a, b, c) and the angles b (B,).
 
-    V sums the cones over the pieces with beta <= b.  Turning the half-plane
-    beta = b sweeps volume at the rate V'(b) = integral of r dA over its
-    section, r the distance from the x-axis.  By Green's theorem in the
-    half-plane coordinates (x, r) that is the sum of -r^2/2 dx over the
-    counterclockwise cut segments; the x-axis, where r = 0, adds nothing."""
-    c, s = math.cos(b), math.sin(b)
-    pieces, _, side, seg = _split(upper, np.array([0.0, -s, c]))
-    V = float(np.sum(_cone6(pieces[~side]))) / 6.0
-    x = seg[:, :, 0]
-    r = seg[:, :, 1] * c + seg[:, :, 2] * s
-    moment = (x[:, 1] - x[:, 0]) * (r[:, 0] ** 2 + r[:, 0] * r[:, 1] + r[:, 1] ** 2)
-    return V, -float(np.sum(moment)) / 6.0
+    V sums the cone fractions of the pieces on the side beta < b.  Turning
+    the half-plane beta = b sweeps volume at the rate V'(b) = integral of
+    r dA over its section, r the distance from the x-axis.  By Green's
+    theorem in the half-plane coordinates (x, r) that is the sum of r^2/2 dx
+    over the cut segments, which run clockwise about the plane's normal
+    (0, -sin b, cos b); the x-axis, where r = 0, adds nothing."""
+    c = np.array([math.cos(x) for x in b])
+    s = np.array([math.sin(x) for x in b])
+    frac, seg = _cut(upper, np.stack([np.zeros(len(b)), s, -c], axis=-1))
+    V = np.sum(cone * frac, axis=-1) / 6.0
+    x = seg[..., 0]
+    r = seg[..., 1] * c[:, None, None] + seg[..., 2] * s[:, None, None]
+    r0, r1 = r[..., 0], r[..., 1]
+    moment = (x[..., 1] - x[..., 0]) * (r0**2 + r0 * r1 + r1**2)
+    return V, np.sum(moment, axis=-1) / 6.0
 
 
-def _sector_polytope(seg: np.ndarray, beta: float) -> float:
-    """Exact circle balance for polytopes: the in-plane angle splitting the
-    upper half of the central section (plane through the x-axis at angle
-    beta) into equal areas, in closed form.
+def _sector_polytope(seg: np.ndarray, beta: np.ndarray) -> list:
+    """Exact circle balance for polytopes: per row, the in-plane angle
+    splitting the upper half of the central section (plane through the
+    x-axis at angle beta) into equal areas, in closed form.
 
-    seg holds the (S, 2, 3) cut segments of that section.  In the in-plane
-    coordinates (x, r) they are clipped to the upper half r >= 0 and fanned
-    from the origin in angular order; the split point lies on the segment
-    whose cone holds half the area, at the linear fraction of that cone's
-    area still to cover."""
-    E = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(beta), math.sin(beta)]])
-    half = _clip_segments(seg @ E.T, (0.0, 1.0))
-    # the x-axis crossings may carry r = -0.0 or -1e-16 from round-off, which
-    # would give the -x crossing the angle -pi and start the fan there
-    half[:, :, 1] = np.where(half[:, :, 1] > 0.0, half[:, :, 1], 0.0)
-    half = half[np.argsort(np.arctan2(half[:, 0, 1], half[:, 0, 0]))]
-    p, q = half[:, 0], half[:, 1]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]))])
-    target = 0.5 * cum[-1]
+    seg holds the (B, S, 2, 3) cut segments of the sections, beta the (B,)
+    angles.  In the in-plane coordinates (x, r) the segments are clipped to
+    the upper half r >= 0 and fanned from the origin in angular order; the
+    split point lies on the segment whose cone holds half the area, at the
+    linear fraction of that cone's area still to cover."""
+    c = np.array([math.cos(x) for x in beta])[:, None, None]
+    s = np.array([math.sin(x) for x in beta])[:, None, None]
+    half = _clip_segments(np.stack([seg[..., 0], seg[..., 1] * c + seg[..., 2] * s], axis=-1), (0.0, 1.0))
+    # the angular order of the start points without an arctangent, whose
+    # vectorised last bits may depend on the array's layout: by the cosine,
+    # whose ties near the x-axis the sine breaks, signed so that it grows
+    # with the angle there; a segment at the origin has no cone, and goes last
+    x, r = half[..., 0, 0], half[..., 0, 1]
+    length = np.sqrt(x**2 + r**2)
+    cosine = np.divide(-x, length, out=np.full(length.shape, 2.0), where=length > 0.0)
+    sine = np.divide(np.where(x > 0.0, r, -r), length, out=np.zeros(length.shape), where=length > 0.0)
+    half = np.take_along_axis(half, np.lexsort((sine, cosine), axis=-1)[..., None, None], axis=-3)
+    p, q = half[..., 0, :], half[..., 1, :]
+    area = 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
+    cum = np.concatenate([np.zeros((len(area), 1)), np.cumsum(area, axis=-1)], axis=-1)
+    target = 0.5 * cum[:, -1]
     # the first cone whose end reaches the target; cum[k] < target there, so
     # a degenerate segment, whose cone has no area, is never picked
-    k = int(np.argmax(cum[1:] >= target))
-    t = (target - cum[k]) / (cum[k + 1] - cum[k])
-    x, y = p[k] + t * (q[k] - p[k])
-    return min(max(math.atan2(y, x), 1e-5), PI - 1e-5)
+    k = np.argmax(cum[:, 1:] >= target[:, None], axis=-1)
+    i = np.arange(len(k))
+    t = (target - cum[i, k]) / (cum[i, k + 1] - cum[i, k])
+    x, y = (p[i, k] + t[:, None] * (q[i, k] - p[i, k])).T
+    return [min(max(math.atan2(yy, xx), 1e-5), PI - 1e-5) for xx, yy in zip(x, y)]
+
+
+def _balance_polytopes(tris: np.ndarray) -> list:
+    """The BalanceAngles of each row of a (B, T, 3, 3) stack of polytope
+    boundary triangles, as one stacked cut pass.  Phi takes the half-section
+    from the z = 0 cut of Theta's solve, and Psi from one cut of its upper
+    pieces at beta = Theta, which leaves the half-section r >= 0."""
+    theta, upper, zseg = _theta_polytopes(tris)
+    c = [math.cos(t) for t in theta]
+    s = [math.sin(t) for t in theta]
+    seg = _cut(upper, np.stack([np.zeros(len(theta)), -np.array(s), np.array(c)], axis=-1))[1]
+    phi = _sector_polytope(zseg, np.zeros(len(theta)))
+    psi = _sector_polytope(seg, theta)
+    return [BalanceAngles(float(t), f, p) for t, f, p in zip(theta, phi, psi)]
 
 
 def _theta_only(K: ConvexBody3, grid: SphereGrid) -> float:
     if isinstance(K, SymmetricPolytope):
-        return _theta_polytope(K)[0]
+        return float(_theta_polytopes(K.vertices[K.triangles][None])[0][0])
     m = grid.n_beta  # samples of the pi-periodic beta profile
     betas = np.arange(m) * (PI / m)
     dirs = sphere_point(grid.alpha[:, None], betas[None, :])
@@ -219,12 +266,15 @@ def _circle_balance(K: ConvexBody3, beta: float, grid: SphereGrid) -> float:
     return _half_balance(rho**2)
 
 
-def balance_angles(K: ConvexBody3, grid: SphereGrid) -> BalanceAngles:
+def balance_angles(K, grid: SphereGrid):
+    """Theta, Phi and Psi of a body.  K may also be a (B, T, 3, 3) stack of
+    polytope boundary triangles, solved as one stacked cut pass; the result
+    is then the list of the rows' BalanceAngles, each bit for bit what the
+    row's polytope gives alone."""
+    if isinstance(K, np.ndarray):
+        return _balance_polytopes(K)
     if isinstance(K, SymmetricPolytope):
-        theta, upper, zseg = _theta_polytope(K)
-        # the upper pieces cut at beta = Theta leave the half-section r >= 0
-        seg = _split(upper, np.array([0.0, -math.sin(theta), math.cos(theta)]))[3]
-        return BalanceAngles(theta, _sector_polytope(zseg, 0.0), _sector_polytope(seg, theta))
+        return _balance_polytopes(K.vertices[K.triangles][None])[0]
     theta = _theta_only(K, grid)
     phi = _circle_balance(K, 0.0, grid)
     psi = _circle_balance(K, theta, grid)
@@ -271,10 +321,21 @@ def shear(K: ConvexBody3, grid: SphereGrid) -> LinearMap3:
     return shear_matrix(balance_angles(K, grid))
 
 
+def _rotation_matrix(theta: float, phi: float, psi: float) -> np.ndarray:
+    """The matrix of X(theta) Y(phi) Z(psi)."""
+    return (_rotation(0, theta) @ _rotation(1, phi)) @ _rotation(2, psi)
+
+
 def rotate(K: ConvexBody3, theta: float, phi: float, psi: float) -> ConvexBody3:
     """X(theta) Y(phi) Z(psi) K."""
-    R = (_rotation(0, theta) @ _rotation(1, phi)) @ _rotation(2, psi)
-    return K.transformed(LinearMap3(R))
+    return K.transformed(LinearMap3(_rotation_matrix(theta, phi, psi)))
+
+
+def _rotated_triangles(K: SymmetricPolytope, angles) -> np.ndarray:
+    """The (B, T, 3, 3) boundary triangles of rotate(K, *a) for each angle
+    triple a, bit for bit: the image's vertices are K.vertices @ R.T, and
+    the image sorts them but keeps each triangle's corners and order."""
+    return np.stack([(K.vertices @ _rotation_matrix(*a).T)[K.triangles] for a in angles])
 
 
 # ---------------------------------------------------------------------------
@@ -284,39 +345,103 @@ def rotate(K: ConvexBody3, theta: float, phi: float, psi: float) -> ConvexBody3:
 def _fgh_body(L: ConvexBody3, grid: SphereGrid):
     """(F,G,H) of a body under its own shear; also the balance angles, the
     shear, the sheared body and its target residuals r23.  Of the quarter
-    areas only the plane-1 pair is computed: it gives F and the last r23."""
+    areas only the plane-1 pair is computed: it gives F and the last r23.  A
+    polytope is a stack of one (_fgh_polytopes)."""
+    if isinstance(L, SymmetricPolytope):
+        v, ang, A, r23 = _fgh_polytopes(L.vertices[L.triangles][None], grid)[0]
+        return v, ang, A, L.transformed(A), r23
     ang = balance_angles(L, grid)
     A = shear_matrix(ang)
     M = L.transformed(A)
     qa = _plane_quarters(M, 1)
     ov = octant_volumes(M, grid)
-    F = qa[0] - qa[1]
-    G = ov[0] + ov[2] - ov[1] - ov[3]
-    H = ov[0] + ov[3] - ov[1] - ov[2]
-    return np.array([F, G, H]), ang, A, M, _r23(ov, qa)
+    return _fgh(ov, qa), ang, A, M, _r23(ov, qa)
 
 
-def _theta_cap0(K: ConvexBody3, phi: float, psi: float, grid: SphereGrid) -> float:
-    """Theta(0, phi, psi) of K: the box-height angle at (phi, psi)."""
-    return _theta_only(rotate(K, 0.0, phi, psi), grid)
+def _fgh_polytopes(tris: np.ndarray, grid: SphereGrid) -> list:
+    """(F,G,H), the balance angles, the shear and r23 of each row of a
+    (B, T, 3, 3) stack of polytope boundary triangles under its own shear,
+    as one stacked cut pass.
+
+    The shear fixes z, so the octants 0-3 and the plane-1 quarters, which
+    all lie in z >= 0, come from the sheared triangles' upper half: its cut
+    by x = 0 gives the octant pieces and the section, whose quarters are its
+    sides y >= 0 and y <= 0.  Every step is elementwise over the rows or
+    reduces within one, so a row's values are bit for bit those of its
+    polytope alone."""
+    angs = balance_angles(tris, grid)
+    shears = [shear_matrix(a) for a in angs]
+    A = np.array([S.matrix for S in shears])[:, None, None]
+    sheared = tris[..., :1] * A[..., 0] + tris[..., 1:2] * A[..., 1] + tris[..., 2:] * A[..., 2]
+    ov, xseg = _upper_octants(sheared)
+    uv = xseg[..., 1:]  # plane 1 in its frame (u, v) = (y, z)
+    qa = np.stack([_fan_area(_clip_segments(uv, m)) for m in ((1.0, 0.0), (-1.0, 0.0))])
+    v, r23 = _fgh(ov.T, qa).T.copy(), _r23(ov.T, qa).T.copy()
+    return [(v[i], angs[i], shears[i], r23[i]) for i in range(len(angs))]
 
 
-def _box_field(K: ConvexBody3, grid: SphereGrid):
-    """The only evaluator of the field over the box: a memoised function of
-    (s, phi, psi) that gives the NormalizationResult of X(theta) Y(phi) Z(psi) K
-    under its own shear, theta = (pi - Theta(0, phi, psi)) s.  Each box point
-    is evaluated once and Theta(0, phi, psi) solved once per exact (phi, psi)
-    pair over the life of the returned function; at s = +-0, theta is s itself
-    and Theta(0, phi, psi) is not solved."""
-    th0 = functools.cache(lambda phi, psi: _theta_cap0(K, phi, psi, grid))
+def _fgh_rotations(K: ConvexBody3, angles, grid: SphereGrid) -> list:
+    """(fgh, balance angles, shear, r23) of rotate(K, *a) for each angle
+    triple a: one stacked pass for a polytope, one body at a time otherwise."""
+    if isinstance(K, SymmetricPolytope):
+        return _fgh_polytopes(_rotated_triangles(K, angles), grid)
+    out = []
+    for a in angles:
+        v, ang, A, _, r23 = _fgh_body(rotate(K, *a), grid)
+        out.append((v, ang, A, r23))
+    return out
 
-    @functools.cache
-    def point(s, phi, psi) -> NormalizationResult:
-        theta = s if s == 0 else (PI - th0(phi, psi)) * s
-        v, ang, A, M, r23 = _fgh_body(rotate(K, theta, phi, psi), grid)
-        return NormalizationResult((theta, phi, psi), A, M, r23, float(np.max(np.abs(v))), v, ang)
 
-    return point
+def _theta_caps0(K: ConvexBody3, pairs, grid: SphereGrid) -> list:
+    """Theta(0, phi, psi) of K for each (phi, psi): the box-height angles;
+    one stacked Newton pass for a polytope."""
+    if isinstance(K, SymmetricPolytope):
+        return [float(t) for t in _theta_polytopes(_rotated_triangles(K, [(0.0, *p) for p in pairs]))[0]]
+    return [_theta_only(rotate(K, 0.0, phi, psi), grid) for phi, psi in pairs]
+
+
+# box points per stacked polytope pass: it keeps the arrays of a pass near 2 MB
+_BATCH = 16
+
+
+class _BoxField:
+    """The only evaluator of the field over the box: the NormalizationResult
+    of X(theta) Y(phi) Z(psi) K under its own shear at each box point
+    (s, phi, psi), with theta = (pi - Theta(0, phi, psi)) s.  fgh,
+    symmetry_residuals, winding, find_normalization and the CLI sweep read
+    it, and keep no cache of their own.
+
+    `many` evaluates a list of points and `field(s, phi, psi)` one, a batch
+    of one.  Each box point is evaluated once and Theta(0, phi, psi) solved
+    once per exact (phi, psi) pair over the life of the field; at s = +-0,
+    theta is s itself and Theta(0, phi, psi) is not solved.  The new points
+    of a call are evaluated in stacked passes of at most _BATCH points, and
+    a point's record does not depend on the batch it came in."""
+
+    def __init__(self, K: ConvexBody3, grid: SphereGrid):
+        self.K, self.grid = K, grid
+        self.records = {}
+        self.theta0 = {}
+
+    def __call__(self, s, phi, psi) -> NormalizationResult:
+        return self.many([(s, phi, psi)])[0]
+
+    def many(self, points) -> list:
+        points = [tuple(p) for p in points]
+        new = [p for p in dict.fromkeys(points) if p not in self.records]
+        for k in range(0, len(new), _BATCH):
+            chunk = new[k : k + _BATCH]
+            pairs = dict.fromkeys((phi, psi) for s, phi, psi in chunk if s != 0)
+            pairs = [p for p in pairs if p not in self.theta0]
+            if pairs:
+                self.theta0.update(zip(pairs, _theta_caps0(self.K, pairs, self.grid)))
+            angles = [(s if s == 0 else (PI - self.theta0[phi, psi]) * s, phi, psi) for s, phi, psi in chunk]
+            for p, a, (v, ang, A, r23) in zip(chunk, angles, _fgh_rotations(self.K, angles, self.grid)):
+                self.records[p] = NormalizationResult(a, A, r23, float(np.max(np.abs(v))), v, ang, self.K)
+        return [self.records[p] for p in points]
+
+
+_box_field = _BoxField
 
 
 def fgh(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> np.ndarray:
@@ -329,6 +454,12 @@ def condition_residuals(K: ConvexBody3, grid: SphereGrid):
     ov, qa = octant_volumes(K, grid), quarter_areas(K)
     r22 = np.array([qa[2] - qa[3], qa[4] - qa[5], ov[0] + ov[1] - ov[2] - ov[3]])
     return r22, _r23(ov, qa)
+
+
+def _fgh(ov, qa):
+    """(F, G, H) from the octant volumes ov and the plane-1 quarter areas qa
+    of a sheared body."""
+    return np.array([qa[0] - qa[1], ov[0] + ov[2] - ov[1] - ov[3], ov[0] + ov[3] - ov[1] - ov[2]])
 
 
 def _r23(ov, qa):
@@ -448,41 +579,62 @@ def _contour_angles(t: float):
 def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
     """Winding number of (G, H) around the boundary of the s = 0 face, whose
     points (0, phi, psi) are read through the box field: t = 0 and t = 4 pi
-    are the same point, evaluated once."""
+    are the same point, evaluated once.
+
+    The base samples are one batch.  Refinement then runs in rounds: each
+    splits every adjacent pair whose angular step is at least pi/2 at its
+    midpoint and evaluates the new points as one batch.  Whether a pair is
+    split depends on its two endpoints alone, so the samples and the total
+    are those of refining each pair depth first.  A (G, H) below 1e-9 |K|
+    raises NotGeneric at the first such point, in contour order, of the
+    earliest batch that has one."""
     volK = volume(K, grid)
     field = _box_field(K, grid)
 
-    def gh(t: float, kind: str = "inserted by refinement"):
-        key = _contour_angles(t)
-        v = field(0.0, *key).fgh
-        r = math.hypot(v[1], v[2])
-        if r < 1e-9 * volK:
-            raise NotGeneric(
-                f"(G,H) vanishes on the contour at t = {float(t)!r}, (phi, psi) = "
-                f"{tuple(map(float, key))}, {kind}: |(G,H)| = {r / volK:.2g} |K|, "
-                "below the 1e-9 |K| threshold"
-            )
-        return v[1], v[2]
+    def gh(ts, kind):
+        keys = [_contour_angles(t) for t in ts]
+        out = []
+        for t, key, rec in zip(ts, keys, field.many([(0.0, *key) for key in keys])):
+            v = rec.fgh
+            r = math.hypot(v[1], v[2])
+            if r < 1e-9 * volK:
+                raise NotGeneric(
+                    f"(G,H) vanishes on the contour at t = {float(t)!r}, (phi, psi) = "
+                    f"{tuple(map(float, key))}, {kind}: |(G,H)| = {r / volK:.2g} |K|, "
+                    "below the 1e-9 |K| threshold"
+                )
+            out.append((v[1], v[2]))
+        return out
 
     ts = list(np.linspace(0.0, 4 * PI, n_samples + 1))
-    for t in ts:
-        gh(t, "a base sample")
-    # adaptive bisection of long angular steps; a pair that is not split is
-    # final, so its step goes into the total as i passes it
-    total = 0.0
-    rows = [(ts[0], *gh(ts[0]), total)]
-    i = 0
-    while i < len(ts) - 1:
-        if len(ts) > 1 << 20:
+    vals = gh(ts, "a base sample")
+    # the angular step of each adjacent pair, None until the pair is final
+    steps = [None] * (len(ts) - 1)
+    while True:
+        split = []
+        for i, d in enumerate(steps):
+            if d is not None:
+                continue
+            (g0, h0), (g1, h1) = vals[i], vals[i + 1]
+            d = math.atan2(g0 * h1 - h0 * g1, g0 * g1 + h0 * h1)
+            if abs(d) >= 0.5 * PI and ts[i + 1] - ts[i] > 1e-12:
+                split.append(i)
+            else:
+                steps[i] = d
+        if not split:
+            break
+        if len(ts) + len(split) > 1 << 20:
             raise NoConvergence("contour refinement exceeded 2^20 samples")
-        v0, v = gh(ts[i]), gh(ts[i + 1])
-        d = math.atan2(v0[0] * v[1] - v0[1] * v[0], v0[0] * v[0] + v0[1] * v[1])
-        if abs(d) >= 0.5 * PI and ts[i + 1] - ts[i] > 1e-12:
-            ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
-        else:
-            total += d
-            i += 1
-            rows.append((ts[i], *v, total))
+        mids = [0.5 * (ts[i] + ts[i + 1]) for i in split]
+        for i, t, v in reversed(list(zip(split, mids, gh(mids, "inserted by refinement")))):
+            ts.insert(i + 1, t)
+            vals.insert(i + 1, v)
+            steps.insert(i + 1, None)
+    total = 0.0
+    rows = [(ts[0], *vals[0], total)]
+    for t, v, d in zip(ts[1:], vals[1:], steps):
+        total += d
+        rows.append((t, *v, total))
     return WindingTrace(samples=np.array(rows), winding=int(round(total / (2 * PI))))
 
 
@@ -490,110 +642,109 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
 # zero finder
 
 
-def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
-    """Locate a zero of (F,G,H) in the box and return the normalized body.
+def _clip_box(x) -> np.ndarray:
+    return np.array([min(max(x[0], 0.0), 1.0), min(max(x[1], 0.0), PI), min(max(x[2], 0.0), PI)])
 
-    Coarse 9^3 scan, then damped Newton (central finite differences) from
-    the best candidates, then recursive local rescans around the best
-    point at halved spacing, up to depth 12.
-    """
-    volK = volume(K, grid)
+
+def _scan_candidates(field: _BoxField) -> list:
+    """The 9^3 scan of the box as one batch: (max |fgh|, point, fgh) for
+    each of its distinct points, the origin among them, smallest first."""
+    svals = np.linspace(0.0, 1.0, 9)
+    avals = np.linspace(0.0, PI, 9)
+    points = [(s, phi, psi) for phi, psi, s in itertools.product(avals, avals, svals)]
+    cand = [(rec.fgh_norm, x, rec.fgh) for x, rec in zip(points, field.many(points))]
+    cand.sort(key=lambda c: c[0])
+    return cand
+
+
+def _refine(field: _BoxField, x0, v0, volK: float):
+    """A zero (x, fgh) of the field near x0, where it is v0, or None.
+
+    Damped Newton with central differences, whose six points are one batch.
+    Where it fails, the Newton direction has degenerated, as where the zero
+    set is locally a curve; a bounded trust-region step still descends
+    there, and its end is accepted below 1e-6 |K|."""
     target = 1e-8 * volK
-    # every box point is evaluated once; the winner's evaluation is the result
-    point = _box_field(K, grid)
-
-    def f(x):
-        return point(*x).fgh
+    h = 1e-4
 
     def norm(v):
         return float(np.max(np.abs(v)))
 
-    def clip(x):
-        return np.array(
-            [min(max(x[0], 0.0), 1.0), min(max(x[1], 0.0), PI), min(max(x[2], 0.0), PI)]
-        )
+    x, v = np.array(x0, dtype=float), v0
+    for _ in range(40):
+        if norm(v) < target:
+            return x, v
+        steps = [sign * h * e for e in np.eye(3) for sign in (1.0, -1.0)]
+        f = [rec.fgh for rec in field.many([tuple(x + e) for e in steps])]
+        J = np.column_stack([(f[2 * j] - f[2 * j + 1]) / (2 * h) for j in range(3)])
+        try:
+            d = np.linalg.solve(J, -v)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        while lam > 1e-3:
+            x1 = _clip_box(x + lam * d)
+            v1 = field(*x1).fgh
+            if norm(v1) < norm(v):
+                x, v = x1, v1
+                break
+            lam *= 0.5
+        else:
+            break
+    else:
+        if norm(v) < target:
+            return x, v
+    res = least_squares(
+        lambda x: field(*x).fgh,
+        np.asarray(x0, dtype=float),
+        bounds=([0.0, 0.0, 0.0], [1.0, PI, PI]),
+        xtol=3e-16,
+        ftol=3e-16,
+        gtol=3e-16,
+        diff_step=1e-6,
+    )
+    if norm(res.fun) < 1e-6 * volK:
+        return np.asarray(res.x), res.fun
+    return None
 
-    def newton(x0, v0):
-        x, v = np.array(x0, dtype=float), v0
-        h = np.array([1e-4, 1e-4, 1e-4])
-        for _ in range(40):
-            if norm(v) < target:
-                return x, v
-            J = np.empty((3, 3))
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h[j]
-                J[:, j] = (f(x + e) - f(x - e)) / (2 * h[j])
-            try:
-                d = np.linalg.solve(J, -v)
-            except np.linalg.LinAlgError:
-                return None
-            lam = 1.0
-            while lam > 1e-3:
-                x1 = clip(x + lam * d)
-                v1 = f(x1)
-                if norm(v1) < norm(v):
-                    x, v = x1, v1
-                    break
-                lam *= 0.5
-            else:
-                return None
-        return (x, v) if norm(v) < target else None
 
-    def refine(x0, v0):
-        got = newton(x0, v0)
-        if got is not None:
-            return got
-        # the Newton direction degenerates when the zero set is locally a
-        # curve; a bounded trust-region step still descends there
-        res = least_squares(
-            f,
-            np.asarray(x0, dtype=float),
-            bounds=([0.0, 0.0, 0.0], [1.0, PI, PI]),
-            xtol=3e-16,
-            ftol=3e-16,
-            gtol=3e-16,
-            diff_step=1e-6,
-        )
-        if norm(res.fun) < 1e-6 * volK:
-            return np.asarray(res.x), res.fun
-        return None
+def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
+    """Locate a zero of (F,G,H) in the box and return the normalized body.
+
+    Coarse 9^3 scan, then damped Newton (central finite differences) from
+    the six best distinct scan points, then recursive local rescans around
+    the best point at halved spacing, up to depth 12.  The scan, each
+    27-point rescan and each Newton Jacobian are one batch of the field.
+    """
+    volK = volume(K, grid)
+    # every box point is evaluated once; the winner's evaluation is the result
+    field = _box_field(K, grid)
 
     # quick exit for bodies already normalized at the origin of the box
-    origin = point(0.0, 0.0, 0.0)
-    if origin.fgh_norm < target:
+    origin = field(0.0, 0.0, 0.0)
+    if origin.fgh_norm < 1e-8 * volK:
         return origin
 
-    svals = np.linspace(0.0, 1.0, 9)
-    avals = np.linspace(0.0, PI, 9)
-    cand = [(origin.fgh_norm, (0.0, 0.0, 0.0), origin.fgh)]
-    for phi, psi, s in itertools.product(avals, avals, svals):
-        x = np.array([s, phi, psi])
-        v = f(x)
-        cand.append((norm(v), tuple(x), v))
-    cand.sort(key=lambda c: c[0])
-
+    cand = _scan_candidates(field)
     zeros = []
     for _, x0, vv in cand[:6]:
-        got = refine(x0, vv)
+        got = _refine(field, x0, vv, volK)
         if got is not None:
             zeros.append(got)
     depth, spacing = 0, np.array([1.0 / 8.0, PI / 8.0, PI / 8.0])
     center = np.array(cand[0][1])
     while not zeros and depth < 12:
         spacing = spacing / 2.0
-        local = []
-        for step in itertools.product((-1, 0, 1), repeat=3):
-            x = clip(center + spacing * np.array(step))
-            v = f(x)
-            local.append((norm(v), tuple(x), v))
+        steps = itertools.product((-1, 0, 1), repeat=3)
+        points = [tuple(_clip_box(center + spacing * np.array(step))) for step in steps]
+        local = [(rec.fgh_norm, x, rec.fgh) for x, rec in zip(points, field.many(points))]
         local.sort(key=lambda c: c[0])
         center = np.array(local[0][1])
-        got = refine(local[0][1], local[0][2])
+        got = _refine(field, local[0][1], local[0][2], volK)
         if got is not None:
             zeros.append(got)
         depth += 1
     if not zeros:
         raise NoZeroFound("no zero of (F,G,H) located in the box")
-    zeros.sort(key=lambda z: (norm(z[1]), tuple(np.round(z[0], 9))))
-    return point(*zeros[0][0])
+    zeros.sort(key=lambda z: (float(np.max(np.abs(z[1]))), tuple(np.round(z[0], 9))))
+    return field(*zeros[0][0])

@@ -8,9 +8,13 @@ coordinate plane and octant restrictions are exact sub-sums.
 Polytopes bypass quadrature.  Volumes, octant volumes, wedges and polar
 pieces are cone sums over the boundary triangles the polytope carries: each
 cut is a plane through the origin, so a cut body is a sum of tetrahedra
-over the cut triangles.  A central section is bounded by the segments the
-same cut leaves on the triangles, and each of its cones from the origin is a
-fan sum over those segments (the planar kernel).  A shadow along an axis is
+over the cut triangles.  The last cut of a chain builds no pieces: it gives
+each triangle's cone fraction on one side in closed form.  A central
+section is bounded by the segments the same cut leaves on the triangles,
+and each of its cones from the origin is a fan sum over those segments (the
+planar kernel).  The cuts run on stacks of triangle sets, one plane per
+set, elementwise, so a set's numbers do not depend on the rest of the
+stack.  A shadow along an axis is
 a quarter of the summed absolute vector areas of the triangles, since the
 boundary covers it twice.  That keeps the extremizer values (cube,
 cross-polytope) exact to machine precision.
@@ -100,66 +104,129 @@ def volume(K: ConvexBody3, grid: SphereGrid) -> float:
 
 
 # per side code 4*s0 + 2*s1 + s2 of a triangle's vertices (s = 1 on the side
-# n.x > 0): the cyclic turn that puts the lone vertex first, and whether the
-# plane crosses the triangle
+# n.x > 0): the cyclic turn that puts the lone vertex first, whether that
+# vertex lies on the side n.x > 0, and whether the plane crosses the triangle
 _SIDE_BITS = [(c >> 2 & 1, c >> 1 & 1, c & 1) for c in range(8)]
 _LONE_FIRST = np.array(
     [(0, 1, 2) if s1 == s2 else (1, 2, 0) if s0 == s2 else (2, 0, 1) for s0, s1, s2 in _SIDE_BITS]
 )
+_LONE_POS = np.array([bool(bits[turn[0]]) for bits, turn in zip(_SIDE_BITS, _LONE_FIRST)])
 _CROSSES = np.array([len(set(bits)) == 2 for bits in _SIDE_BITS])
 # the pieces (a, p, q), (p, b, c), (c, q, p) as rows of (a, b, c, p, q)
 _PIECES = np.array([0, 3, 4, 3, 1, 2, 2, 4, 3])
-_PAST_CUT = np.array([False, True, True])
-_MIDDLE = np.array([False, True, False])
 
 
-def _split(tris: np.ndarray, n: np.ndarray):
-    """Cut each triangle of a (T, 3, 3) array by the plane n.x = 0.
+def _crossing(tris: np.ndarray, n: np.ndarray):
+    """Where the planes n.x = 0 cross a (..., T, 3, 3) stack of triangles,
+    n of shape (..., 3): one plane for each leading index, or (3,) for all.
 
-    Returns the pieces (P, 3, 3), each with the orientation of its triangle;
-    the index of each piece's triangle; a mask of the pieces on the side
-    n.x > 0; and the (T, 2, 3) cut segments, counterclockwise about n along
-    the section of a body whose outward triangles these are.  The lone
-    vertex, whose side differs from the other two, is turned to the front as
-    a; the cut points are p on ab and q on ac, and the pieces are (a, p, q),
-    (p, b, c) and (c, q, p).  A triangle the plane does not cross has
-    p = q = a: it is kept whole as the middle piece, and its segment is
-    degenerate."""
-    pts = tris.reshape(-1, 3)
-    d = pts @ n
+    Each triangle is turned so that its lone vertex a, whose side differs
+    from the other two, comes first.  Returns the turn, as indices into
+    tris.reshape(-1, 3) (_turned applies it); whether a lies on the side
+    n.x > 0; whether the plane crosses the triangle; and the fractions
+    (w1, w2) at which it cuts ab and ac.  An uncrossed triangle has
+    w1 = w2 = 1: its lone piece (a, p, q) is the whole triangle.  Every step
+    is elementwise, so a triangle's numbers do not depend on the rest of the
+    stack."""
+    n = np.asarray(n, dtype=float)[..., None, None, :]
+    d = tris[..., 0] * n[..., 0] + tris[..., 1] * n[..., 1] + tris[..., 2] * n[..., 2]
     pos = d > 0
-    code = 4 * pos[0::3] + 2 * pos[1::3] + pos[2::3]
-    turn = _LONE_FIRST[code] + 3 * np.arange(len(tris))[:, None]
-    r = np.take(pts, turn, axis=0)
-    dr = np.take(d, turn)
-    lone_pos = np.take(pos, turn[:, 0])
+    code = 4 * pos[..., 0] + 2 * pos[..., 1] + pos[..., 2]
+    turn = _LONE_FIRST[code].reshape(-1, 3) + 3 * np.arange(code.size)[:, None]
+    dr = np.take(d, turn).reshape(d.shape)
     cross = _CROSSES[code]
     # the lone vertex is strictly on its side and the others are not, so
     # neither denominator vanishes where the plane crosses
-    w = np.divide(
-        dr[:, :1], dr[:, :1] - dr[:, 1:], out=np.zeros((len(tris), 2)), where=cross[:, None]
-    )
-    pq = r[:, :1] + w[:, :, None] * (r[:, 1:] - r[:, :1])
-    keep = np.flatnonzero(cross[:, None] | _MIDDLE)
-    pieces = np.take(np.concatenate([r, pq], axis=1), _PIECES, axis=1).reshape(-1, 3, 3)
-    side = (lone_pos[:, None] ^ (cross[:, None] & _PAST_CUT)).ravel()
-    seg = np.where(lone_pos[:, None, None], pq, pq[:, ::-1])
-    return np.take(pieces, keep, axis=0), keep // 3, np.take(side, keep), seg
+    w = np.ones(code.shape + (2,))
+    np.divide(dr[..., :1], dr[..., :1] - dr[..., 1:], out=w, where=cross[..., None])
+    return turn, _LONE_POS[code], cross, w
+
+
+def _cut_points(tris: np.ndarray, turn: np.ndarray, cross: np.ndarray, w: np.ndarray):
+    """The turned triangles (a, b, c) and their cut points (p, q) on ab and
+    ac; an uncrossed triangle's are b and c themselves, so that its lone
+    piece is the triangle bit for bit and its neighbours still share its
+    corners."""
+    r = np.take(tris.reshape(-1, 3), turn, axis=0).reshape(tris.shape)
+    pq = r[..., :1, :] + w[..., None] * (r[..., 1:, :] - r[..., :1, :])
+    return r, np.where(cross[..., None, None], pq, r[..., 1:, :])
+
+
+def _segments(pq, lone_pos, cross):
+    """The cut segments, counterclockwise about n along the section of a body
+    whose outward triangles these are; zero where the plane does not cross."""
+    seg = np.where(lone_pos[..., None, None], pq, pq[..., ::-1, :])
+    return np.where(cross[..., None, None], seg, 0.0)
+
+
+def _fraction(lone_pos: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The fraction of each triangle's cone from the origin on the side
+    n.x > 0.  The cone over the lone piece (a, p, q) is det(a, a + w1 (b - a),
+    a + w2 (c - a)) = w1 w2 det(a, b, c), and the other two pieces hold the
+    rest."""
+    lone = w[..., 0] * w[..., 1]
+    return np.where(lone_pos, lone, 1.0 - lone)
+
+
+def _cut(tris: np.ndarray, n: np.ndarray):
+    """Cut a stack of triangles by planes n.x = 0 (as in _crossing) without
+    building pieces: each triangle's cone fraction on the side n.x > 0, and
+    the (..., T, 2, 3) cut segments."""
+    turn, lone_pos, cross, w = _crossing(tris, n)
+    pq = _cut_points(tris, turn, cross, w)[1]
+    return _fraction(lone_pos, w), _segments(pq, lone_pos, cross)
+
+
+def _split(tris: np.ndarray, n: np.ndarray):
+    """Cut a stack of triangles by planes n.x = 0 (as in _crossing) into
+    oriented pieces.  Returns the (..., 2T, 3, 3) pieces on the side n.x > 0,
+    those on the side n.x <= 0, and the (..., T, 2, 3) cut segments.
+
+    The cut points are p on ab and q on ac; the pieces are (a, p, q),
+    (p, b, c) and (c, q, p), each with the orientation of its triangle.  A
+    side holds the lone piece or the other two, in two slots per triangle;
+    an empty slot is the zero triangle, whose cone, cuts and segments are
+    all zero, so every row of a stack keeps the same shape."""
+    turn, lone_pos, cross, w = _crossing(tris, n)
+    r, pq = _cut_points(tris, turn, cross, w)
+    pieces = np.take(np.concatenate([r, pq], axis=-2), _PIECES, axis=-2)
+    p0, p1, p2 = (pieces[..., 3 * k : 3 * k + 3, :] for k in range(3))
+    sides = []
+    for lone_here in (lone_pos, ~lone_pos):
+        first = np.where(lone_here[..., None, None], p0, np.where(cross[..., None, None], p1, 0.0))
+        second = np.where((cross & ~lone_here)[..., None, None], p2, 0.0)
+        sides.append(np.concatenate([first, second], axis=-3))
+    return sides[0], sides[1], _segments(pq, lone_pos, cross)
+
+
+_AXES = np.eye(3)
+
+
+def _upper_octants(tris: np.ndarray):
+    """The volumes of the octants 0-3, which lie in z >= 0, of a body whose
+    outward boundary triangles are the (..., T, 3, 3) stack, as (..., 4);
+    and the (..., 2T, 2, 3) cut segments of the plane x = 0 in z >= 0.
+
+    The triangles are cut into pieces by z = 0 and then x = 0; the last cut,
+    by y = 0, is taken as cone fractions."""
+    upper = _split(tris, _AXES[2])[0]
+    right, left, xseg = _split(upper, _AXES[0])
+    vols = []
+    for pieces in (right, left):
+        _, lone_pos, _, w = _crossing(pieces, _AXES[1])
+        frac = _fraction(lone_pos, w)
+        cone = np.abs(_cone6(pieces)) / 6.0
+        vols.append((np.sum(cone * frac, axis=-1), np.sum(cone * (1.0 - frac), axis=-1)))
+    (v0, v3), (v1, v2) = vols
+    return np.stack([v0, v1, v2, v3], axis=-1), xseg
 
 
 def octant_volumes(K: ConvexBody3, grid: SphereGrid):
     """|Delta_i| for the eight octants, in the fixed sign-pattern order."""
     if isinstance(K, SymmetricPolytope):
-        pieces = K.vertices[K.triangles]
-        neg = np.zeros(len(pieces), dtype=np.intp)  # sign bits 4*(x<=0) + 2*(y<=0) + (z<=0)
-        for axis, bit in ((0, 4), (1, 2), (2, 1)):
-            pieces, source, side, _ = _split(pieces, np.eye(3)[axis])
-            neg = neg[source] + bit * ~side
-        ov = np.bincount(
-            _OCTANT_OF_SIGN_BITS[neg], np.abs(_cone6(pieces)) / 6.0, minlength=8
-        )
+        ov = _upper_octants(K.vertices[K.triangles])[0]
         # by central symmetry octant i + 4 is the antipode of octant (i + 2) mod 4
-        return np.concatenate([ov[:4], ov[[2, 3, 0, 1]]])
+        return np.concatenate([ov, ov[[2, 3, 0, 1]]])
     rho3 = K.radial_many(grid.units) ** 3 * grid.weights
     return np.array(
         [np.sum(rho3[grid.octant == i]) / 3.0 for i in range(8)]
@@ -174,11 +241,9 @@ def wedge_volume(K: SymmetricPolytope, b0: float, b1: float) -> float:
     if b1 - b0 < 1e-9:
         return 0.0
     n0 = np.array([0.0, -math.sin(b0), math.cos(b0)])  # beta >= b0 where n0.x > 0
-    n1 = np.array([0.0, -math.sin(b1), math.cos(b1)])  # beta <= b1 where n1.x <= 0
-    pieces, _, after0, _ = _split(K.vertices[K.triangles], n0)
-    pieces, source, after1, _ = _split(pieces, n1)
-    inside = after0[source] & ~after1
-    return float(np.sum(_cone6(pieces[inside]))) / 6.0
+    n1 = np.array([0.0, math.sin(b1), -math.cos(b1)])  # beta < b1 where n1.x > 0
+    pieces = _split(K.vertices[K.triangles], n0)[0]
+    return float(np.sum(_cone6(pieces) * _cut(pieces, n1)[0])) / 6.0
 
 
 # octant index by sign bits 4*(x<0) + 2*(y<0) + (z<0): the inverse of the
@@ -257,8 +322,8 @@ def _section_segments(K: SymmetricPolytope, F: np.ndarray) -> np.ndarray:
     """The (T, 2, 2) cut segments of the central section of K by the plane
     of the right-handed orthonormal frame F (rows u, v, n), in the in-plane
     coordinates (u.x, v.x) and counterclockwise there.  An uncrossed
-    triangle gives a degenerate segment."""
-    return _split(K.vertices[K.triangles], F[2])[3] @ F[:2].T
+    triangle gives the zero segment."""
+    return _cut(K.vertices[K.triangles], F[2])[1] @ F[:2].T
 
 
 def _section_vertices(seg: np.ndarray) -> np.ndarray:
@@ -348,6 +413,15 @@ def quarter_areas(K: ConvexBody3) -> np.ndarray:
 
 
 def volume_product(K: ConvexBody3, grid: SphereGrid) -> float:
+    """|K| |K°|.  The product does not change under K -> sK, so a polytope's
+    cone sums run on it scaled by the power of two that brings its largest
+    coordinate into [1/2, 1), and on its polar scaled back.  That is exact
+    and keeps them in range for tiny and huge bodies alike."""
+    if isinstance(K, SymmetricPolytope):
+        s = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(K.vertices))))[1])
+        Kp = polar(K)
+        vols = [float(np.sum(_cone6(P.vertices[P.triangles] * c))) / 6.0 for P, c in ((K, s), (Kp, 1.0 / s))]
+        return vols[0] * vols[1]
     return volume(K, grid) * volume(polar(K), grid)
 
 

@@ -24,7 +24,9 @@ plane, whose edge duals are the section's vertices.  Its shadows, which the
 library sums from the triangles' vector areas, are checked against the 2-D
 hull of the projected vertices.  The library clips planar regions as
 segment sets by half-planes through the origin; the reference clip is
-Sutherland-Hodgman on the vertex list.
+Sutherland-Hodgman on the vertex list.  The winding contour, which the
+library refines in breadth-first rounds of batched points, is checked
+against the depth-first loop that evaluates one point at a time.
 """
 
 from __future__ import annotations
@@ -269,9 +271,9 @@ def bisect_half_balance(vals):
 
 def bisect_t_map(K, s, psi, grid):
     """T_psi(s) by 48 halvings of the box height on the Gamma map."""
-    from mahlerlab.normalize import _theta_cap0, gamma_map
+    from mahlerlab.normalize import _theta_caps0, gamma_map
 
-    th0 = _theta_cap0(K, 0.0, psi, grid)
+    th0 = _theta_caps0(K, [(0.0, psi)], grid)[0]
     height = math.pi - th0
     target = math.pi - th0 * s
     theta = bisect(lambda t: gamma_map(K, psi, t, grid) < target, 0.0, height, 48)
@@ -493,3 +495,41 @@ def qhull_polar_pieces(Kp):
     out = np.zeros(8)
     np.add.at(out, idx, np.abs(np.linalg.det(Kp.vertices[hull.simplices])) / 6.0)
     return out
+
+
+def depth_first_winding(K, n_samples, grid):
+    """The winding trace of (G, H) on the s = 0 face by depth-first
+    refinement, one box point at a time: each adjacent pair whose angular
+    step is at least pi/2 is split at its midpoint and its left half refined
+    first.  Returns (samples, winding) as normalize.winding does."""
+    from mahlerlab.errors import NotGeneric
+    from mahlerlab.normalize import _box_field, _contour_angles
+    from mahlerlab.quadrature import volume
+
+    volK = volume(K, grid)
+    field = _box_field(K, grid)
+
+    def gh(t, kind="inserted by refinement"):
+        key = _contour_angles(t)
+        v = field(0.0, *key).fgh
+        r = math.hypot(v[1], v[2])
+        if r < 1e-9 * volK:
+            raise NotGeneric(f"(G,H) vanishes at t = {float(t)!r}, {kind}")
+        return v[1], v[2]
+
+    ts = list(np.linspace(0.0, 4 * math.pi, n_samples + 1))
+    for t in ts:
+        gh(t, "a base sample")
+    total = 0.0
+    rows = [(ts[0], *gh(ts[0]), total)]
+    i = 0
+    while i < len(ts) - 1:
+        v0, v = gh(ts[i]), gh(ts[i + 1])
+        d = math.atan2(v0[0] * v[1] - v0[1] * v[0], v0[0] * v[0] + v0[1] * v[1])
+        if abs(d) >= 0.5 * math.pi and ts[i + 1] - ts[i] > 1e-12:
+            ts.insert(i + 1, 0.5 * (ts[i] + ts[i + 1]))
+        else:
+            total += d
+            i += 1
+            rows.append((ts[i], *v, total))
+    return np.array(rows), int(round(total / (2 * math.pi)))

@@ -121,6 +121,15 @@ class TestConstruction:
             # every facet is supported by at least three vertices
             assert np.all(np.sum(np.abs(vals - 1.0) < 1e-9, axis=0) >= 3)
 
+    @pytest.mark.parametrize("scale", [1e80, 1e150, 1e-12, 1e-110])
+    def test_cubes_at_extreme_scales(self, scale, grid):
+        # the hull runs on the vertices scaled by a power of two, and the
+        # interior test is relative to the body's size
+        K = SymmetricPolytope(scale * cube().vertices)
+        assert len(K.vertices) == 8 and len(K.facets) == 6
+        if scale != 1e150:  # there |K| overflows, and a body file is refused
+            assert volume_product(K, grid) == pytest.approx(32.0 / 3.0, rel=1e-10)
+
     @pytest.mark.parametrize("scale", [1e9, 1e10, 1e20, 1e70])
     def test_large_polytopes_keep_their_facets(self, scale):
         # the facet rows scale as 1 / scale; their merge tolerance follows

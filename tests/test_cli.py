@@ -118,10 +118,11 @@ class TestExitCodes:
         assert "invalid body" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["vp", "verify", "polar"])
-    @pytest.mark.parametrize("case", ["cube_1e200", "image_1e200"])
+    @pytest.mark.parametrize("case", ["cube_1e200", "image_1e200", "cube_1e150"])
     def test_polytope_volume_overflow(self, tmp_path, command, case, capsys):
         # finite vertices or matrix whose volume overflows a double: a refused body
-        spec = {"type": "polytope", "vertices": (1e200 * cube().vertices).tolist()}
+        scale = 1e150 if case == "cube_1e150" else 1e200
+        spec = {"type": "polytope", "vertices": (scale * cube().vertices).tolist()}
         if case == "image_1e200":
             spec = {"type": "transformed", "base": {"type": "polytope", "vertices": cube().vertices.tolist()},
                     "matrix": (1e200 * np.eye(3)).tolist()}
@@ -310,13 +311,13 @@ class TestSweep:
         p = write_body(tmp_path / "lp.json", spec)
         out = tmp_path / "sweep.csv"
         calls = []
-        theta_cap0 = normalize._theta_cap0
+        theta_caps0 = normalize._theta_caps0
 
-        def counted(K, phi, psi, grid):
-            calls.append((phi, psi))
-            return theta_cap0(K, phi, psi, grid)
+        def counted(K, pairs, grid):
+            calls.extend(pairs)
+            return theta_caps0(K, pairs, grid)
 
-        monkeypatch.setattr(normalize, "_theta_cap0", counted)
+        monkeypatch.setattr(normalize, "_theta_caps0", counted)
         code = cli.run(["sweep", "--body", p, "--grid", "16x32", "--n", "3", "--out", str(out)])
         assert code == cli.EXIT_OK
         assert len(calls) == 9

@@ -377,14 +377,16 @@ class TestQuarterAreas:
         assert np.allclose(ex, qu, rtol=1e-3)
 
     def test_one_section_per_plane(self, monkeypatch):
+        # one piece-free cut per plane, and no pieces
         calls = []
-        cut = quadrature._split
+        cut = quadrature._cut
 
         def counted(tris, n):
             calls.append(n)
             return cut(tris, n)
 
-        monkeypatch.setattr(quadrature, "_split", counted)
+        monkeypatch.setattr(quadrature, "_cut", counted)
+        monkeypatch.setattr(quadrature, "_split", None)
         quarter_areas(cube())
         assert len(calls) == 3
 
