@@ -161,26 +161,9 @@ def _cone6(tris: np.ndarray) -> np.ndarray:
     )
 
 
-def _dedup_rows(rows: np.ndarray) -> np.ndarray:
-    """Merge rows that agree within 1e-9 of the largest |entry| (coplanar
-    hull simplices); the facet rows scale as 1 / the body's size."""
-    tol = 1e-9 * float(np.max(np.abs(rows)))
-    keys = np.round(rows / tol)
-    _, idx = np.unique(keys, axis=0, return_index=True)
-    out = rows[np.sort(idx)]
-    # second pass: keys straddling a rounding boundary
-    keep = np.ones(len(out), dtype=bool)
-    for i in range(len(out)):
-        if not keep[i]:
-            continue
-        close = np.all(np.abs(out - out[i]) < 2 * tol, axis=1)
-        close[i] = False
-        keep &= ~close
-    return out[keep]
-
-
 def _check_symmetric_vertices(verts: np.ndarray) -> None:
-    tol = 1e-9 * max(np.max(np.abs(verts)), 1.0)
+    """Every vertex has its antipode within 1e-9 of the largest |coordinate|."""
+    tol = 1e-9 * np.max(np.abs(verts))
     if np.max(cKDTree(verts).query(-verts)[0]) > tol:
         raise NotSymmetric("vertex list is not closed under x -> -x")
 
@@ -230,8 +213,10 @@ class SymmetricPolytope(ConvexBody3):
         simplices = np.where(inward[:, None], hull.simplices[:, ::-1], hull.simplices)
         index = np.zeros(len(verts), dtype=np.intp)
         index[hull.vertices] = np.arange(len(hull.vertices))  # extreme only
+        # qhull gives every triangle of a merged facet the same equation, bit
+        # for bit, so the facets are the distinct rows
         self._set_parts(
-            verts[hull.vertices], _dedup_rows(n / (-b[:, None])) * scale, index[simplices]
+            verts[hull.vertices], np.unique(n / (-b[:, None]), axis=0) * scale, index[simplices]
         )
 
     def _set_parts(self, verts, facets, triangles):

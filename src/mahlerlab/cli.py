@@ -27,7 +27,7 @@ from .bound2d import polar2 as polar2d
 from .bound2d import verify2 as verify2d
 from .bound3d import LOWER_BOUND, verify_chain
 from .errors import BadGridSize, InvalidBody, IoError, MahlerLabError, ParseError
-from .normalize import _box_field, find_normalization, winding
+from .normalize import _BoxField, find_normalization, winding
 from .quadrature import make_grid, volume
 
 COMMANDS = ("vp", "polar", "normalize", "verify", "winding", "sweep", "verify2")
@@ -211,7 +211,7 @@ def _cmd_sweep(K, grid, args):
     svals = np.linspace(0.0, 1.0, n)
     avals = np.linspace(0.0, np.pi, n)
     points = [(s, phi, psi) for s in svals for phi in avals for psi in avals]
-    rows = [[*x, *rec.fgh] for x, rec in zip(points, _box_field(K, grid).many(points))]
+    rows = [[*x, *rec.fgh] for x, rec in zip(points, _BoxField(K, grid).many(points))]
     out = {"header": ["s", "phi", "psi", "F", "G", "H"], "rows": rows}
     print(f"sweep         {n}^3 = {len(rows)} samples")
     return out, "csv", EXIT_OK

@@ -7,19 +7,23 @@ makes three of the seven normalization equations hold identically; the
 remaining three are the field (F, G, H) over the rotation box
 D = {(s, phi, psi)} whose zero yields the fully normalized body.
 
-For smooth bodies the angle equations are solved through a spectral
-antiderivative: the defining integrands are pi-periodic and smooth, so we
-sample them uniformly, take the Fourier antiderivative, and run safeguarded
-Newton steps on the resulting monotone function, whose derivative is the
-spectral interpolant of the samples.  This keeps every (F,G,H) evaluation
-at a couple of grid passes.  For polytopes Theta is a safeguarded Newton
-root of the exact wedge volume, whose derivative comes from the same cut
-of the boundary triangles.  Phi and Psi are closed forms on the cut
-segments of the half-sections: Theta's solve cuts the triangles at z = 0,
-which gives the beta = 0 section, and keeps their upper halves, whose one
-cut at beta = Theta gives the half-section there.  The polytope path runs
-on a stack of rotated bodies at once, one row per box point, so the field
-evaluates many box points in one pass of array operations.
+Every rotated image R K is a row of a stack of rotation matrices:
+_thetas gives Theta of each row and _field_rows its (F, G, H), balance
+angles, shear and r23, and each branches once on the body kind.  A polytope
+stack runs as one pass of array operations over its rows' boundary
+triangles; other bodies run one row at a time.
+
+The angles that are roots, Theta and a smooth body's Phi and Psi, are rows
+of one safeguarded Newton solve (_newton).  For smooth bodies the integrands
+are pi-periodic and smooth, so we sample them uniformly and solve on the
+Fourier antiderivative, a monotone function whose derivative is the spectral
+interpolant of the samples; this keeps every (F,G,H) evaluation at a couple
+of grid passes.  For polytopes Theta is the root of the exact wedge volume,
+whose derivative comes from the same cut of the boundary triangles.  Phi and
+Psi are closed forms on the cut segments of the half-sections: Theta's solve
+cuts the triangles at z = 0, which gives the beta = 0 section, and keeps
+their upper halves, whose one cut at beta = Theta gives the half-section
+there.
 """
 
 from __future__ import annotations
@@ -96,7 +100,43 @@ class WindingTrace:
 
 
 # ---------------------------------------------------------------------------
-# spectral half-balance solver
+# the safeguarded Newton solver
+
+
+def _newton(f, x, lo, hi, target, steps: int, what: str) -> np.ndarray:
+    """Per row i the root of V_i(x) = target[i] for an increasing V_i, from
+    x[i] in the bracket [lo[i], hi[i]]; f(rows, x) gives (V, V') of the
+    listed rows at their x.  A Newton step that would leave the bracket, or
+    move more than half as far as the row's previous step (at first the
+    bracket width), bisects it instead, as Numerical Recipes' rtsafe does,
+    unless it meets the end test: a step of at most 1e-15 or a residual
+    within the round-off of V, below which the steps can bounce between
+    neighbouring doubles.  A finished row leaves the rounds, so its numbers
+    are those of its own solve alone."""
+    root = np.empty(len(x))
+    rows = np.arange(len(x))
+    last = hi - lo
+    tol = 8 * np.finfo(float).eps * target
+    for _ in range(steps):
+        V, dV = f(rows, x)
+        r = V - target
+        below = r < 0.0
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        mid = 0.5 * (lo + hi)
+        # a slope that is not positive, or nan, gives a nan step: bisect
+        nxt = x - r / np.where(dV > 0.0, dV, math.nan)
+        nxt = np.where((lo <= nxt) & (nxt <= hi), nxt, mid)
+        step = np.abs(nxt - x)
+        done = (step <= 1e-15) | (np.abs(r) <= tol)
+        nxt = np.where(done | (step <= 0.5 * last), nxt, mid)
+        if done.all():
+            root[rows] = nxt
+            return root
+        root[rows[done]] = nxt[done]
+        go = ~done
+        last = np.abs(nxt - x)[go]
+        rows, x, lo, hi, target, tol = rows[go], nxt[go], lo[go], hi[go], target[go], tol[go]
+    raise NoConvergence(f"{what}: no Newton convergence in {steps} steps")
 
 
 def _half_balance(vals: np.ndarray) -> float:
@@ -104,11 +144,8 @@ def _half_balance(vals: np.ndarray) -> float:
     C(t) = int_0^t g of g sampled uniformly over [0, pi).
 
     A trapezoid cumulative sum of the samples brackets the root within a few
-    grid cells.  Newton steps then take C and its exact derivative, the
-    spectral interpolant of g, from one phase row each; a step that would
-    leave the bracket bisects it instead.  The solve ends at a step of at
-    most 1e-15 or at a residual within the round-off of C, below which a
-    small g can bounce the steps between neighbouring doubles."""
+    grid cells.  Newton steps (_newton, one row) then take C and its exact
+    derivative, the spectral interpolant of g, from one phase row each."""
     n = len(vals)
     h = PI / n
     c = np.fft.rfft(vals) / n
@@ -122,16 +159,14 @@ def _half_balance(vals: np.ndarray) -> float:
     j = int(np.searchsorted(cum, target))
     lo, hi = h * max(j - 3, 0), h * min(j + 2, n)
     t = float(np.interp(target, cum, h * np.arange(n + 1)))
-    for _ in range(8):
-        phase = np.exp(1j * t * kw)
-        C = c0 * t + float(np.sum(((phase - 1.0) / (1j * kw) * coef).real))
-        lo, hi = (t, hi) if C < target else (lo, t)
-        nxt = t - (C - target) / (c0 + float(np.sum((phase * coef).real)))
-        nxt = nxt if lo <= nxt <= hi else 0.5 * (lo + hi)
-        if abs(nxt - t) <= 1e-15 or abs(C - target) <= 8 * np.finfo(float).eps * target:
-            return float(nxt)
-        t = nxt
-    raise NoConvergence("half balance: no Newton convergence in 8 steps")
+
+    def C(rows, t):
+        phase = np.exp(1j * t[:, None] * kw)
+        value = c0 * t + ((phase - 1.0) / (1j * kw) * coef).real.sum(axis=-1)
+        return value, c0 + (phase * coef).real.sum(axis=-1)
+
+    row = [np.array([v]) for v in (t, lo, hi, target)]
+    return float(_newton(C, *row, 8, "half balance")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +178,9 @@ def _theta_polytopes(tris: np.ndarray):
     triangles: V(b) = |K ∩ {0 <= beta <= b}| = |K|/4 for each row's K.
 
     The wedge over [0, pi] is half of K by central symmetry.  The upper half
-    z >= 0 of the triangles is cut into pieces once; each Newton round cuts
-    them by the plane at beta = b of every unfinished row, which gives V and
-    V' together (_theta_wedge).  A step that would leave its row's bracket
-    bisects it instead, as in _half_balance, and a row ends at a step of at
-    most 1e-15 or a residual within the round-off of V.  A finished row
-    leaves the rounds, so its numbers are those of its polytope alone.
+    z >= 0 of the triangles is cut into pieces once; each Newton round
+    (_newton, one row per body) cuts them by the plane at beta = b of every
+    unfinished row, which gives V and V' together (_theta_wedge).
 
     Returns (Theta per row, the upper pieces, the cut segments of the plane
     z = 0), from which _balance_polytopes takes the half-sections of Phi and
@@ -156,26 +188,12 @@ def _theta_polytopes(tris: np.ndarray):
     target = 0.25 * (np.sum(_cone6(tris), axis=-1) / 6.0)  # a quarter of volume(K)
     upper, _, zseg = _split(tris, np.array([0.0, 0.0, 1.0]))
     cone = _cone6(upper)
-    n = len(tris)
-    lo, hi, b = np.full(n, 1e-5), np.full(n, PI - 1e-5), np.full(n, 0.5 * PI)
-    theta = np.empty(n)
-    rows = np.arange(n)
-    for _ in range(16):
-        V, dV = _theta_wedge(upper[rows], cone[rows], b[rows])
-        t, b0 = target[rows], b[rows]
-        below = V < t
-        lo[rows] = np.where(below, b0, lo[rows])
-        hi[rows] = np.where(below, hi[rows], b0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = np.where(dV > 0, b0 - (V - t) / dV, math.nan)
-        nxt = np.where((lo[rows] <= nxt) & (nxt <= hi[rows]), nxt, 0.5 * (lo[rows] + hi[rows]))
-        done = (np.abs(nxt - b0) <= 1e-15) | (np.abs(V - t) <= 8 * np.finfo(float).eps * t)
-        theta[rows[done]] = nxt[done]
-        b[rows] = nxt
-        rows = rows[~done]
-        if not len(rows):
-            return theta, upper, zseg
-    raise NoConvergence("theta balance: no Newton convergence in 16 steps")
+
+    def wedge(rows, b):
+        return _theta_wedge(upper[rows], cone[rows], b)
+
+    start, lo, hi = (np.full(len(tris), b) for b in (0.5 * PI, 1e-5, PI - 1e-5))
+    return _newton(wedge, start, lo, hi, target, 16, "theta balance"), upper, zseg
 
 
 def _theta_wedge(upper: np.ndarray, cone: np.ndarray, b: np.ndarray):
@@ -249,8 +267,7 @@ def _balance_polytopes(tris: np.ndarray) -> list:
 
 
 def _theta_only(K: ConvexBody3, grid: SphereGrid) -> float:
-    if isinstance(K, SymmetricPolytope):
-        return float(_theta_polytopes(K.vertices[K.triangles][None])[0][0])
+    """Theta of a smooth body from its sampled beta-profile."""
     m = grid.n_beta  # samples of the pi-periodic beta profile
     betas = np.arange(m) * (PI / m)
     dirs = sphere_point(grid.alpha[:, None], betas[None, :])
@@ -331,73 +348,57 @@ def rotate(K: ConvexBody3, theta: float, phi: float, psi: float) -> ConvexBody3:
     return K.transformed(LinearMap3(_rotation_matrix(theta, phi, psi)))
 
 
-def _rotated_triangles(K: SymmetricPolytope, angles) -> np.ndarray:
-    """The (B, T, 3, 3) boundary triangles of rotate(K, *a) for each angle
-    triple a, bit for bit: the image's vertices are K.vertices @ R.T, and
-    the image sorts them but keeps each triangle's corners and order."""
-    return np.stack([(K.vertices @ _rotation_matrix(*a).T)[K.triangles] for a in angles])
+def _triangle_rows(K: SymmetricPolytope, mats) -> np.ndarray:
+    """The (B, T, 3, 3) boundary triangles of R K for each matrix R of mats,
+    bit for bit those of K.transformed(R): the image's vertices are
+    K.vertices @ R.T, and the image sorts them but keeps each triangle's
+    corners and order."""
+    return np.stack([(K.vertices @ m.T)[K.triangles] for m in mats])
+
+
+def _thetas(K: ConvexBody3, mats, grid: SphereGrid) -> list:
+    """Theta of R K for each rotation matrix R of mats: one stacked Newton
+    pass for a polytope, one body at a time otherwise."""
+    if isinstance(K, SymmetricPolytope):
+        return [float(t) for t in _theta_polytopes(_triangle_rows(K, mats))[0]]
+    return [_theta_only(K.transformed(LinearMap3(m)), grid) for m in mats]
 
 
 # ---------------------------------------------------------------------------
 # the (F, G, H) field
 
 
-def _fgh_body(L: ConvexBody3, grid: SphereGrid):
-    """(F,G,H) of a body under its own shear; also the balance angles, the
-    shear, the sheared body and its target residuals r23.  Of the quarter
-    areas only the plane-1 pair is computed: it gives F and the last r23.  A
-    polytope is a stack of one (_fgh_polytopes)."""
-    if isinstance(L, SymmetricPolytope):
-        v, ang, A, r23 = _fgh_polytopes(L.vertices[L.triangles][None], grid)[0]
-        return v, ang, A, L.transformed(A), r23
-    ang = balance_angles(L, grid)
-    A = shear_matrix(ang)
-    M = L.transformed(A)
-    qa = _plane_quarters(M, 1)
-    ov = octant_volumes(M, grid)
-    return _fgh(ov, qa), ang, A, M, _r23(ov, qa)
+def _field_rows(K: ConvexBody3, mats, grid: SphereGrid) -> list:
+    """(F,G,H), the balance angles, the shear and the target residuals r23
+    of R K under its own shear for each rotation matrix R of mats.  Of the
+    quarter areas only the plane-1 pair is computed: it gives F and r23[3].
 
-
-def _fgh_polytopes(tris: np.ndarray, grid: SphereGrid) -> list:
-    """(F,G,H), the balance angles, the shear and r23 of each row of a
-    (B, T, 3, 3) stack of polytope boundary triangles under its own shear,
-    as one stacked cut pass.
-
-    The shear fixes z, so the octants 0-3 and the plane-1 quarters, which
-    all lie in z >= 0, come from the sheared triangles' upper half: its cut
-    by x = 0 gives the octant pieces and the section, whose quarters are its
-    sides y >= 0 and y <= 0.  Every step is elementwise over the rows or
-    reduces within one, so a row's values are bit for bit those of its
-    polytope alone."""
-    angs = balance_angles(tris, grid)
-    shears = [shear_matrix(a) for a in angs]
-    A = np.array([S.matrix for S in shears])[:, None, None]
-    sheared = tris[..., :1] * A[..., 0] + tris[..., 1:2] * A[..., 1] + tris[..., 2:] * A[..., 2]
-    ov, xseg = _upper_octants(sheared)
-    uv = xseg[..., 1:]  # plane 1 in its frame (u, v) = (y, z)
-    qa = np.stack([_fan_area(_clip_segments(uv, m)) for m in ((1.0, 0.0), (-1.0, 0.0))])
-    v, r23 = _fgh(ov.T, qa).T.copy(), _r23(ov.T, qa).T.copy()
-    return [(v[i], angs[i], shears[i], r23[i]) for i in range(len(angs))]
-
-
-def _fgh_rotations(K: ConvexBody3, angles, grid: SphereGrid) -> list:
-    """(fgh, balance angles, shear, r23) of rotate(K, *a) for each angle
-    triple a: one stacked pass for a polytope, one body at a time otherwise."""
+    A polytope's rows are one stacked cut pass.  The shear fixes z, so the
+    octants 0-3 and the plane-1 quarters, which all lie in z >= 0, come from
+    the sheared triangles' upper half: its cut by x = 0 gives the octant
+    pieces and the section, whose quarters are its sides y >= 0 and y <= 0.
+    Every step is elementwise over the rows or reduces within one, so a
+    row's values are bit for bit those of its polytope alone.  Other bodies
+    are evaluated one at a time."""
     if isinstance(K, SymmetricPolytope):
-        return _fgh_polytopes(_rotated_triangles(K, angles), grid)
+        tris = _triangle_rows(K, mats)
+        angs = balance_angles(tris, grid)
+        shears = [shear_matrix(a) for a in angs]
+        A = np.array([S.matrix for S in shears])[:, None, None]
+        sheared = tris[..., :1] * A[..., 0] + tris[..., 1:2] * A[..., 1] + tris[..., 2:] * A[..., 2]
+        ov, xseg = _upper_octants(sheared)
+        uv = xseg[..., 1:]  # plane 1 in its frame (u, v) = (y, z)
+        qa = np.stack([_fan_area(_clip_segments(uv, m)) for m in ((1.0, 0.0), (-1.0, 0.0))])
+        return list(zip(_fgh(ov.T, qa).T.copy(), angs, shears, _r23(ov.T, qa).T.copy()))
     out = []
-    for a in angles:
-        v, ang, A, _, r23 = _fgh_body(rotate(K, *a), grid)
-        out.append((v, ang, A, r23))
+    for m in mats:
+        L = K.transformed(LinearMap3(m))
+        ang = balance_angles(L, grid)
+        A = shear_matrix(ang)
+        M = L.transformed(A)
+        ov, qa = octant_volumes(M, grid), _plane_quarters(M, 1)
+        out.append((_fgh(ov, qa), ang, A, _r23(ov, qa)))
     return out
-
-
-def _theta_caps0(K: ConvexBody3, pairs, grid: SphereGrid) -> list:
-    """Theta(0, phi, psi) of K for each (phi, psi): the box-height angles;
-    one stacked Newton pass for a polytope."""
-    if isinstance(K, SymmetricPolytope):
-        return [float(t) for t in _theta_polytopes(_rotated_triangles(K, [(0.0, *p) for p in pairs]))[0]]
-    return [_theta_only(rotate(K, 0.0, phi, psi), grid) for phi, psi in pairs]
 
 
 # box points per stacked polytope pass: it keeps the arrays of a pass near 2 MB
@@ -434,19 +435,18 @@ class _BoxField:
             pairs = dict.fromkeys((phi, psi) for s, phi, psi in chunk if s != 0)
             pairs = [p for p in pairs if p not in self.theta0]
             if pairs:
-                self.theta0.update(zip(pairs, _theta_caps0(self.K, pairs, self.grid)))
+                mats = [_rotation_matrix(0.0, *p) for p in pairs]
+                self.theta0.update(zip(pairs, _thetas(self.K, mats, self.grid)))
             angles = [(s if s == 0 else (PI - self.theta0[phi, psi]) * s, phi, psi) for s, phi, psi in chunk]
-            for p, a, (v, ang, A, r23) in zip(chunk, angles, _fgh_rotations(self.K, angles, self.grid)):
+            rows = _field_rows(self.K, [_rotation_matrix(*a) for a in angles], self.grid)
+            for p, a, (v, ang, A, r23) in zip(chunk, angles, rows):
                 self.records[p] = NormalizationResult(a, A, r23, float(np.max(np.abs(v))), v, ang, self.K)
         return [self.records[p] for p in points]
 
 
-_box_field = _BoxField
-
-
 def fgh(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> np.ndarray:
     """(F, G, H) at a box point (s, phi, psi)."""
-    return _box_field(K, grid)(point.s, point.phi, point.psi).fgh
+    return _BoxField(K, grid)(point.s, point.phi, point.psi).fgh
 
 
 def condition_residuals(K: ConvexBody3, grid: SphereGrid):
@@ -474,7 +474,7 @@ def _r23(ov, qa):
 
 def gamma_map(K: ConvexBody3, psi: float, theta: float, grid: SphereGrid) -> float:
     """Gamma_psi(theta) = pi - Theta(theta, 0, psi) + theta (strictly increasing)."""
-    return PI - _theta_only(rotate(K, theta, 0.0, psi), grid) + theta
+    return PI - _thetas(K, [_rotation_matrix(theta, 0.0, psi)], grid)[0] + theta
 
 
 def t_map(K: ConvexBody3, s: float, psi: float, grid: SphereGrid) -> float:
@@ -515,23 +515,23 @@ def symmetry_residuals(K: ConvexBody3, point: BoxPoint, grid: SphereGrid) -> dic
     """
     s, phi, psi = point.s, point.phi, point.psi
     # at s = 0 the face_s partner is the point itself
-    field = _box_field(K, grid)
+    field = _BoxField(K, grid)
     here = field(s, phi, psi)
     FL, angL = here.fgh, here.balance
     L = rotate(K, here.angles[0], phi, psi)
     a = (angL.theta_cap, angL.phi_cap, angL.psi_cap)
-    # one row per map of L: the image's (Theta, Phi, Psi) as (index i into a,
-    # relation), where "=" expects a[i], "-" expects pi - a[i] and "+" checks
-    # a[i] + angle = pi; the image's (F, G, H) as (sign, index into FL)
+    # one row of a stack per map of L: the image's (Theta, Phi, Psi) as (index
+    # i into a, relation), where "=" expects a[i], "-" expects pi - a[i] and
+    # "+" checks a[i] + angle = pi; its (F, G, H) as (sign, index into FL)
     body_maps = (
-        ("comp", LinearMap3.rotation_x(PI - a[0]), "+-=", (0, 2, 1), ((-1, 0), (-1, 2), (1, 1))),
-        ("xpi", LinearMap3.rotation_x(PI), "=--", (0, 1, 2), ((1, 0), (-1, 1), (-1, 2))),
-        ("ypi", LinearMap3.rotation_y(PI), "--=", (0, 1, 2), ((-1, 0), (-1, 1), (1, 2))),
-        ("zpi", LinearMap3.rotation_z(PI), "-=-", (0, 1, 2), ((-1, 0), (1, 1), (-1, 2))),
+        ("comp", _rotation(0, PI - a[0]), "+-=", (0, 2, 1), ((-1, 0), (-1, 2), (1, 1))),
+        ("xpi", _rotation(0, PI), "=--", (0, 1, 2), ((1, 0), (-1, 1), (-1, 2))),
+        ("ypi", _rotation(1, PI), "--=", (0, 1, 2), ((-1, 0), (-1, 1), (1, 2))),
+        ("zpi", _rotation(2, PI), "-=-", (0, 1, 2), ((-1, 0), (1, 1), (-1, 2))),
     )
+    images = _field_rows(L, [turn for _, turn, *_ in body_maps], grid)
     res = {}
-    for name, turn, relations, index, signs in body_maps:
-        F2, ang2, *_ = _fgh_body(L.transformed(turn), grid)
+    for (name, _, relations, index, signs), (F2, ang2, *_) in zip(body_maps, images):
         got = (ang2.theta_cap, ang2.phi_cap, ang2.psi_cap)
         for label, g, rel, i in zip(("theta", "phi", "psi"), got, relations, index):
             if rel == "+":
@@ -589,7 +589,7 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
     raises NotGeneric at the first such point, in contour order, of the
     earliest batch that has one."""
     volK = volume(K, grid)
-    field = _box_field(K, grid)
+    field = _BoxField(K, grid)
 
     def gh(ts, kind):
         keys = [_contour_angles(t) for t in ts]
@@ -718,7 +718,7 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     """
     volK = volume(K, grid)
     # every box point is evaluated once; the winner's evaluation is the result
-    field = _box_field(K, grid)
+    field = _BoxField(K, grid)
 
     # quick exit for bodies already normalized at the origin of the box
     origin = field(0.0, 0.0, 0.0)

@@ -271,9 +271,9 @@ def bisect_half_balance(vals):
 
 def bisect_t_map(K, s, psi, grid):
     """T_psi(s) by 48 halvings of the box height on the Gamma map."""
-    from mahlerlab.normalize import _theta_caps0, gamma_map
+    from mahlerlab.normalize import _rotation_matrix, _thetas, gamma_map
 
-    th0 = _theta_caps0(K, [(0.0, psi)], grid)[0]
+    th0 = _thetas(K, [_rotation_matrix(0.0, 0.0, psi)], grid)[0]
     height = math.pi - th0
     target = math.pi - th0 * s
     theta = bisect(lambda t: gamma_map(K, psi, t, grid) < target, 0.0, height, 48)
@@ -503,11 +503,11 @@ def depth_first_winding(K, n_samples, grid):
     step is at least pi/2 is split at its midpoint and its left half refined
     first.  Returns (samples, winding) as normalize.winding does."""
     from mahlerlab.errors import NotGeneric
-    from mahlerlab.normalize import _box_field, _contour_angles
+    from mahlerlab.normalize import _BoxField, _contour_angles
     from mahlerlab.quadrature import volume
 
     volK = volume(K, grid)
-    field = _box_field(K, grid)
+    field = _BoxField(K, grid)
 
     def gh(t, kind="inserted by refinement"):
         key = _contour_angles(t)

@@ -64,6 +64,12 @@ class TestConstruction:
             else:
                 with pytest.raises(errors.NotSymmetric):
                     SymmetricPolytope(moved)
+        # the cube with one corner pulled out to 1.5x, at any scale
+        pulled = cube().vertices.copy()
+        pulled[0] *= 1.5
+        for scale in (1.0, 1e-12):
+            with pytest.raises(errors.NotSymmetric):
+                SymmetricPolytope(scale * pulled)
 
     def test_symmetry_check_matches_pair_scan(self):
         rng = np.random.default_rng(64)
@@ -71,7 +77,7 @@ class TestConstruction:
             for _ in range(5):
                 K = random_symmetric_polytope(rng, pairs=int(rng.integers(4, 16)))
                 verts = K.vertices.copy()
-                tol = 1e-9 * max(np.max(np.abs(verts)), 1.0)
+                tol = 1e-9 * np.max(np.abs(verts))
                 step = rng.standard_normal(3)
                 verts[int(rng.integers(len(verts)))] += factor * tol * step / np.linalg.norm(step)
                 rejected = oracles.antipode_gap(verts) > tol

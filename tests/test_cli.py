@@ -311,13 +311,13 @@ class TestSweep:
         p = write_body(tmp_path / "lp.json", spec)
         out = tmp_path / "sweep.csv"
         calls = []
-        theta_caps0 = normalize._theta_caps0
+        thetas = normalize._thetas
 
-        def counted(K, pairs, grid):
-            calls.extend(pairs)
-            return theta_caps0(K, pairs, grid)
+        def counted(K, mats, grid):
+            calls.extend(mats)
+            return thetas(K, mats, grid)
 
-        monkeypatch.setattr(normalize, "_theta_caps0", counted)
+        monkeypatch.setattr(normalize, "_thetas", counted)
         code = cli.run(["sweep", "--body", p, "--grid", "16x32", "--n", "3", "--out", str(out)])
         assert code == cli.EXIT_OK
         assert len(calls) == 9

@@ -8,7 +8,7 @@ import oracles
 from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
 from mahlerlab import bound2d, errors, normalize, planar, quadrature
 from mahlerlab.bound2d import normalize2
-from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, _cone6, cross_polytope, cube
+from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, SymmetricPolytope, _cone6, cross_polytope, cube
 from mahlerlab.bound3d import verify_chain
 from mahlerlab.normalize import (
     BalanceAngles,
@@ -26,7 +26,7 @@ from mahlerlab.normalize import (
     t_map,
     winding,
 )
-from mahlerlab.quadrature import make_grid, octant_volumes, volume, wedge_volume
+from mahlerlab.quadrature import make_grid, octant_volumes, volume, volume_product, wedge_volume
 from test_bound2d import random_polygon, regular_gon, square2
 
 PI = math.pi
@@ -183,10 +183,10 @@ class TestPolytopeSolvers:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         # nor a 2-D hull for a section
         assert not hasattr(planar, "ConvexHull")
-        L = rotate(POLYTOPES["random1"](), 0.4, 1.0, 2.0)
-        v, ang, *_ = normalize._fgh_body(L, grid)
+        K, angles = POLYTOPES["random1"](), (0.4, 1.0, 2.0)
+        v, ang, *_ = normalize._field_rows(K, [normalize._rotation_matrix(*angles)], grid)[0]
         assert np.all(np.isfinite(v)) and 0.0 < ang.theta_cap < PI
-        assert balance_angles(L, grid) == ang
+        assert balance_angles(rotate(K, *angles), grid) == ang
 
     def test_fgh_body_cuts_one_section(self, grid, monkeypatch):
         # F and r23 read only the plane-1 quarter areas: the sheared body is
@@ -202,7 +202,8 @@ class TestPolytopeSolvers:
 
                 monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(quadrature, "_section_segments", None)
-        normalize._fgh_body(rotate(POLYTOPES["random1"](), 0.4, 1.0, 2.0), grid)
+        R = normalize._rotation_matrix(0.4, 1.0, 2.0)
+        normalize._field_rows(POLYTOPES["random1"](), [R], grid)
         assert normals.count([1.0, 0.0, 0.0]) == 1
 
     def test_no_qhull_in_the_chain(self, grid, monkeypatch):
@@ -383,11 +384,12 @@ class TestFGH:
         # rotated-and-sheared polytope
         K = perturbed_cube(np.random.default_rng(76))
         point = BoxPoint(0.37, 1.2, 2.5)
-        from mahlerlab.normalize import _fgh_body, _theta_caps0
+        from mahlerlab.normalize import _field_rows, _rotation_matrix, _thetas
 
-        th0 = _theta_caps0(K, [(point.phi, point.psi)], grid)[0]
-        L = rotate(K, (PI - th0) * point.s, point.phi, point.psi)
-        v, ang, A, M, _ = _fgh_body(L, grid)
+        th0 = _thetas(K, [_rotation_matrix(0.0, point.phi, point.psi)], grid)[0]
+        angles = ((PI - th0) * point.s, point.phi, point.psi)
+        v, ang, A, _ = _field_rows(K, [_rotation_matrix(*angles)], grid)[0]
+        M = rotate(K, *angles).transformed(A)
         mc = oracles.mc_octant_volumes(M, n=4_000_000, seed=77)
         G = mc[0] + mc[2] - mc[1] - mc[3]
         H = mc[0] + mc[3] - mc[1] - mc[2]
@@ -424,9 +426,9 @@ class TestGammaAndT:
     def test_gamma_increasing(self, grid):
         K = random_smooth_body(np.random.default_rng(80))
         psi = 0.9
-        from mahlerlab.normalize import _theta_caps0
+        from mahlerlab.normalize import _rotation_matrix, _thetas
 
-        height = PI - _theta_caps0(K, [(0.0, psi)], grid)[0]
+        height = PI - _thetas(K, [_rotation_matrix(0.0, 0.0, psi)], grid)[0]
         thetas = np.linspace(0.0, height, 16)
         vals = [gamma_map(K, psi, t, grid) for t in thetas]
         assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -493,18 +495,18 @@ class TestSymmetryResiduals:
         # partner (0, phi, psi) is the point itself: 1 + 4 turned images + 5
         # face points
         gammas, fields = [], []
-        gamma_map, fgh_body = normalize.gamma_map, normalize._fgh_body
+        gamma_map, field_rows = normalize.gamma_map, normalize._field_rows
 
         def counted_gamma(K, psi, theta, grid):
             gammas.append(theta)
             return gamma_map(K, psi, theta, grid)
 
-        def counted_fgh(L, grid):
-            fields.append(L)
-            return fgh_body(L, grid)
+        def counted_fgh(L, mats, grid):
+            fields.extend(mats)
+            return field_rows(L, mats, grid)
 
         monkeypatch.setattr(normalize, "gamma_map", counted_gamma)
-        monkeypatch.setattr(normalize, "_fgh_body", counted_fgh)
+        monkeypatch.setattr(normalize, "_field_rows", counted_fgh)
         K = LpBall(3.0, (1.0, 0.7, 1.3))
         symmetry_residuals(K, BoxPoint(0.0, 1.0, 2.0), make_grid(16, 32))
         assert gammas.count(0.0) == 1
@@ -596,13 +598,13 @@ class TestWinding:
     def test_each_contour_point_evaluated_once(self, monkeypatch):
         # t = 0 and t = 4 pi are the same point of the contour
         calls = []
-        rotations = normalize._fgh_rotations
+        field_rows = normalize._field_rows
 
-        def counted(K, angles, grid):
-            calls.extend(angles)
-            return rotations(K, angles, grid)
+        def counted(K, mats, grid):
+            calls.extend(m.tobytes() for m in mats)
+            return field_rows(K, mats, grid)
 
-        monkeypatch.setattr(normalize, "_fgh_rotations", counted)
+        monkeypatch.setattr(normalize, "_field_rows", counted)
         tr = winding(perturbed_cube(np.random.default_rng(84)), 64, make_grid(32, 64))
         assert len(calls) == len(tr.samples) - 1
         assert len(set(calls)) == len(calls)
@@ -620,8 +622,8 @@ class TestBatchedField:
         rng = np.random.default_rng(90)
         points = [(0.0, *map(float, rng.uniform(0.0, PI, 2))) for _ in range(32)]
         points += [tuple(map(float, rng.uniform(0.0, 1.0) * np.array([1.0, PI, PI]))) for _ in range(32)]
-        for x, rec in zip(points, normalize._box_field(K, grid).many(points)):
-            alone = normalize._box_field(K, grid)(*x)
+        for x, rec in zip(points, normalize._BoxField(K, grid).many(points)):
+            alone = normalize._BoxField(K, grid)(*x)
             assert alone.angles == rec.angles
             assert alone.balance == rec.balance
             assert alone.fgh.tobytes() == rec.fgh.tobytes()
@@ -635,7 +637,7 @@ class TestBatchedField:
         # at a time, 1,651,566 batched (records no longer hold their sheared
         # bodies, which leaves room for the chunk's arrays).
         K = random_symmetric_polytope(np.random.default_rng(3), 16)
-        field = normalize._box_field(K, make_grid(32, 64))
+        field = normalize._BoxField(K, make_grid(32, 64))
         field(0.0, 0.0, 0.0)
         tracemalloc.start()
         try:
@@ -672,7 +674,7 @@ class TestFindNormalization:
         def refuse(*a):
             raise AssertionError("Theta(0, phi, psi) solved at s = 0")
 
-        monkeypatch.setattr(normalize, "_theta_caps0", refuse)
+        monkeypatch.setattr(normalize, "_thetas", refuse)
         assert find_normalization(LpBall(3.0, (1.0, 0.7, 1.3)), grid).angles == (0.0, 0.0, 0.0)
         v = fgh(random_smooth_body(np.random.default_rng(75)), BoxPoint(0.0, 1.1, 2.3), grid)
         assert np.all(np.isfinite(v))
@@ -686,30 +688,30 @@ class TestFindNormalization:
         L = rotate(K, *res.angles)
         assert res.balance == balance_angles(L, grid)
         assert np.array_equal(res.shear.matrix, shear_matrix(res.balance).matrix)
-        point = normalize._box_field(K, grid)
+        point = normalize._BoxField(K, grid)
         rec = point(0.37, 1.2, 2.5)
         assert point(0.37, 1.2, 2.5) is rec
         assert rec.fgh_norm == float(np.max(np.abs(rec.fgh)))
 
     def test_no_point_evaluated_twice(self, monkeypatch):
-        # the rotation angles (theta, phi, psi) of each field evaluation stand
+        # the rotation X(theta) Y(phi) Z(psi) of each field evaluation stands
         # for its box point (s, phi, psi): theta = (pi - Theta_0) s
         evaluated = []
-        rotations = normalize._fgh_rotations
+        field_rows = normalize._field_rows
 
-        def counted(K, angles, grid):
-            evaluated.extend(angles)
-            return rotations(K, angles, grid)
+        def counted(K, mats, grid):
+            evaluated.extend(m.tobytes() for m in mats)
+            return field_rows(K, mats, grid)
 
-        monkeypatch.setattr(normalize, "_fgh_rotations", counted)
+        monkeypatch.setattr(normalize, "_field_rows", counted)
         res = find_normalization(random_smooth_body(np.random.default_rng(1)), make_grid(16, 32))
         assert len(evaluated) > 729
         assert len(set(evaluated)) == len(evaluated)
-        assert res.angles in evaluated
+        assert normalize._rotation_matrix(*res.angles).tobytes() in evaluated
 
     def test_scan_points_distinct(self):
         # the origin is one of the 9^3 scan points, once
-        field = normalize._box_field(perturbed_cube(np.random.default_rng(9)), make_grid(32, 64))
+        field = normalize._BoxField(perturbed_cube(np.random.default_rng(9)), make_grid(32, 64))
         points = [x for _, x, _ in normalize._scan_candidates(field)]
         assert len(points) == len(set(points)) == 729
         assert (0.0, 0.0, 0.0) in points
@@ -742,3 +744,39 @@ class TestFindNormalization:
         # octant volumes of the normalized body really are |K|/8 each
         ov = octant_volumes(res.normalized_body, grid)[:4]
         assert np.allclose(ov, v / 8.0, rtol=1e-6)
+
+
+# the half vertex lists of two minima of a Powell descent on the volume
+# product at 32x64 (its first and sixth runs), near the equality case
+# |K| |K°| = 32/3
+DESCENT_BODIES = {
+    # Theta's Newton steps bounce inside the bracket unless each step must
+    # halve the last
+    "run1": [
+        [-6.15482976969476, -0.4005187010439555, -0.6391683515831761],
+        [-1.3040000451301372, -1.0200299757072397, 0.703734850371023],
+        [-1.2654214710460525, -0.6232744625373522, 0.04133001871383489],
+    ],
+    # facet rows within 1e-9 of each other: merging them loses polar vertices,
+    # and P falls below 32/3
+    "run6": [
+        [1.437293667972059, -0.7987506246567673, 1.8220113632643826],
+        [0.6205521582773584, -0.04349401301112499, -0.06495003710629565],
+        [0.04905461448989903, 2.002392583645255, 0.18851919251246557],
+        [-0.6331940901922267, -0.37756350523280824, -1.0911461176191954],
+        [-1.2776801663761632, 0.6304114907682319, 0.5811658124128057],
+        [0.6765248533969589, -0.15034845165404043, -0.5469605038881447],
+    ],
+}
+
+
+class TestDescentBodies:
+    @pytest.mark.parametrize("name", sorted(DESCENT_BODIES))
+    def test_normalizes_at_or_above_bound(self, name):
+        h = np.array(DESCENT_BODIES[name])
+        K, grid = SymmetricPolytope(np.vstack([h, -h])), make_grid(32, 64)
+        res = find_normalization(K, grid)
+        vol = volume(K, grid)
+        assert res.fgh_norm < 1e-8 * vol
+        assert np.max(np.abs(res.residual23)) < 1e-6 * vol
+        assert volume_product(K, grid) >= 32.0 / 3.0 * (1.0 - 1e-12)
