@@ -20,11 +20,12 @@ lp ball drawn from default_rng(1001)) and on twelve symmetric polygons
   32x64 on two of the polytopes; `vp`, `verify`, `winding`, `sweep --n 3`
   and `normalize` at 32x64 on the smooth bodies; `verify2` on each polygon;
 - fn: for each body and five (phi, psi), (F, G, H) at the box points
-  (0, phi, psi) and (0.5, phi, psi), and the condition residuals r22, r23
-  of the body turned by X(0) Y(phi) Z(psi); for each polytope so turned,
-  also the rotated vertices, the balance angles, the quarter areas, the
-  curve vectors, and the section areas, shadow areas and planar products
-  of `verify_chain` (or the name of the error it raises).
+  (0, phi, psi) and (0.5, phi, psi); and of the body turned by
+  X(0) Y(phi) Z(psi), the condition residuals r22, r23, the volume, the
+  octant volumes, the polar piece volumes, the balance angles, the quarter
+  areas, the curve vectors, and the volumes, pieces, section areas, shadow
+  areas and planar products of `verify_chain` (or the name of the error
+  each raises); for each polytope so turned, also the rotated vertices.
 
 `compare` prints one line per command and field: how many items differ, the
 largest absolute difference, and the largest difference relative to the
@@ -180,9 +181,17 @@ def dump(tree, out_path):
                 items[f"fn/fgh/{key},s={s:g}"] = {"fgh": v.tolist()}
             r22, r23 = normalize.condition_residuals(L, grid)
             items[f"fn/condition_residuals/{key}"] = {"r22": r22.tolist(), "r23": r23.tolist()}
-            if not isinstance(K, body.SymmetricPolytope):
-                continue
-            items[f"fn/rotate/{key}"] = {"vertices": L.vertices.tolist()}
+            if isinstance(K, body.SymmetricPolytope):
+                items[f"fn/rotate/{key}"] = {"vertices": L.vertices.tolist()}
+            measures = {
+                "volume": quadrature.volume(L, grid),
+                "octant_volumes": quadrature.octant_volumes(L, grid).tolist(),
+            }
+            try:
+                measures["polar_pieces"] = quadrature.polar_piece_volumes(L, grid).tolist()
+            except errors.MahlerLabError as e:
+                measures["polar_pieces"] = {"error": type(e).__name__}
+            items[f"fn/measures/{key}"] = measures
             ang = normalize.balance_angles(L, grid)
             items[f"fn/balance_angles/{key}"] = dataclasses.asdict(ang)
             items[f"fn/quarter_areas/{key}"] = {"qa": quadrature.quarter_areas(L).tolist()}
@@ -190,7 +199,9 @@ def dump(tree, out_path):
             items[f"fn/curve_vectors/{key}"] = {k: v.tolist() for k, v in cv.items()}
             try:
                 rep = bound3d.verify_chain(L, grid)
-                chain = {k: getattr(rep, k).tolist() for k in ("section_areas", "projection_areas", "planar_products")}
+                fields = ("volume", "polar_volume", "piece_volumes", "polar_pieces")
+                fields += ("section_areas", "projection_areas", "planar_products")
+                chain = {k: np.asarray(getattr(rep, k)).tolist() for k in fields}
             except errors.MahlerLabError as e:
                 chain = {"error": type(e).__name__}
             items[f"fn/verify_chain/{key}"] = chain

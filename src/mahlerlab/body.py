@@ -306,23 +306,41 @@ class LpBall(ConvexBody3):
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "q", p / (p - 1.0))
 
+    # The kernels run on one C-ordered (3, ...) copy of the points: three
+    # coordinate rows, not an inner axis of length 3, along which every ufunc
+    # and reduction would run a loop of length 3.  Each element takes the
+    # same IEEE operations as (|x| / a)^p summed over the last axis, in the
+    # same order, so the values are bit for bit those of that form.
+
+    def _axes(self, ndim):
+        """The semi-axes shaped to act on coordinate rows of ndim - 1 axes."""
+        return self.axes.reshape((3,) + (1,) * (ndim - 1))
+
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
-        z = np.abs(pts) / self.axes
-        return np.sum(z**self.p, axis=-1) ** (1.0 / self.p)
+        z = np.abs(np.moveaxis(pts, -1, 0), order="C")
+        z /= self._axes(pts.ndim)
+        z **= self.p
+        return (z[0] + z[1] + z[2]) ** (1.0 / self.p)
 
     def support_many(self, us):
         us = np.asarray(us, dtype=float)
-        z = np.abs(us) * self.axes
-        return np.sum(z**self.q, axis=-1) ** (1.0 / self.q)
+        z = np.abs(np.moveaxis(us, -1, 0), order="C")
+        z *= self._axes(us.ndim)
+        z **= self.q
+        return (z[0] + z[1] + z[2]) ** (1.0 / self.q)
 
     def lambda_many(self, pts):
         pts = np.asarray(pts, dtype=float)
-        mu = self.gauge_many(pts)
-        x = pts / mu[..., None]  # renormalize onto the boundary
-        z = np.abs(x) / self.axes
-        grad = np.sign(x) * z ** (self.p - 1.0) / self.axes
-        return grad
+        a = self._axes(pts.ndim)
+        # renormalize onto the boundary
+        x = np.divide(np.moveaxis(pts, -1, 0), self.gauge_many(pts), order="C")
+        z = np.abs(x)
+        z /= a
+        z **= self.p - 1.0
+        z *= np.sign(x)
+        z /= a
+        return np.moveaxis(z, 0, -1)
 
     def polar_body(self):
         return LpBall(self.q, 1.0 / self.axes)

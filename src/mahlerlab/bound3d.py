@@ -15,6 +15,7 @@ from .normalize import _r23
 from .quadrature import (
     GL64,
     SphereGrid,
+    _chain_measures,
     _polar_pieces,
     _section_segments,
     _section_vertices,
@@ -22,7 +23,6 @@ from .quadrature import (
     projection_areas,
     quarter_areas,
     section_areas,
-    volume,
 )
 
 __all__ = [
@@ -217,18 +217,17 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid) -> ChainReport:
     unconditionally).  The polar is built once and each measure of K and of
     its polar is computed once, and only where the report uses it: the
     octant volumes feed the residual and the R_i, the quarter areas the
-    residual and the body-side curve vectors."""
-    vol = volume(K, grid)
+    residual and the body-side curve vectors.  A smooth body's radial table
+    is sampled once for K and once for its polar."""
     Kp = polar(K)
-    vol_p = volume(Kp, grid)
+    vol, vol_p, ov, pieces_p = _chain_measures(K, Kp, grid)
     product = vol * vol_p
-    ov = octant_volumes(K, grid)
     qa = quarter_areas(K)
     resid = float(np.max(np.abs(_r23(ov, qa)))) / vol
     applicable = resid < 1e-4
     cv = _curve_vectors(K, qa)
     piece = ov[:4]
-    piece_p = _polar_pieces(Kp, grid)[:4]
+    piece_p = pieces_p[:4]
     S, R = _test_points(K, Kp, cv, piece, piece_p)
     pairings = np.einsum("ij,ij->i", R, S)
     Q = section_areas(K)

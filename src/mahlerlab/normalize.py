@@ -139,34 +139,40 @@ def _newton(f, x, lo, hi, target, steps: int, what: str) -> np.ndarray:
     raise NoConvergence(f"{what}: no Newton convergence in {steps} steps")
 
 
-def _half_balance(vals: np.ndarray) -> float:
-    """Solve C(t) = C(pi)/2 for the increasing antiderivative
-    C(t) = int_0^t g of g sampled uniformly over [0, pi).
+def _half_balance(vals: np.ndarray) -> np.ndarray:
+    """Per row of the (R, n) samples, solve C(t) = C(pi)/2 for the
+    increasing antiderivative C(t) = int_0^t g of g sampled uniformly over
+    [0, pi).
 
-    A trapezoid cumulative sum of the samples brackets the root within a few
-    grid cells.  Newton steps (_newton, one row) then take C and its exact
-    derivative, the spectral interpolant of g, from one phase row each."""
-    n = len(vals)
+    A trapezoid cumulative sum of a row's samples brackets its root within a
+    few grid cells.  Newton steps (_newton, one row per sample row) then take
+    C and its exact derivative, the spectral interpolant of g, from one phase
+    row each.  Every step is per row, so a row's angle is bit for bit that of
+    its samples solved alone."""
+    R, n = vals.shape
     h = PI / n
-    c = np.fft.rfft(vals) / n
-    kw = 2.0 * np.arange(1, len(c))  # angular frequencies of the period pi
-    coef = np.where(kw == n, 1.0, 2.0) * c[1:]  # an even n's Nyquist term once
-    c0 = c[0].real
+    c = np.fft.rfft(vals, axis=-1) / n
+    kw = 2.0 * np.arange(1, c.shape[-1])  # angular frequencies of the period pi
+    coef = np.where(kw == n, 1.0, 2.0) * c[:, 1:]  # an even n's Nyquist term once
+    c0 = c[:, 0].real
     target = 0.5 * PI * c0  # the phase terms of C(pi) vanish
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (vals + np.roll(vals, -1)))])
-    # the trapezoid root lies in cell j - 1; its O(h^2) error is far below
-    # the two cells kept on either side
-    j = int(np.searchsorted(cum, target))
-    lo, hi = h * max(j - 3, 0), h * min(j + 2, n)
-    t = float(np.interp(target, cum, h * np.arange(n + 1)))
+    cum = np.cumsum(0.5 * h * (vals + np.roll(vals, -1, axis=-1)), axis=-1)
+    cum = np.concatenate([np.zeros((R, 1)), cum], axis=-1)
+    nodes = h * np.arange(n + 1)
+    t, lo, hi = np.empty(R), np.empty(R), np.empty(R)
+    for r in range(R):
+        # the trapezoid root lies in cell j - 1; its O(h^2) error is far
+        # below the two cells kept on either side
+        j = int(np.searchsorted(cum[r], target[r]))
+        lo[r], hi[r] = h * max(j - 3, 0), h * min(j + 2, n)
+        t[r] = np.interp(target[r], cum[r], nodes)
 
     def C(rows, t):
         phase = np.exp(1j * t[:, None] * kw)
-        value = c0 * t + ((phase - 1.0) / (1j * kw) * coef).real.sum(axis=-1)
-        return value, c0 + (phase * coef).real.sum(axis=-1)
+        value = c0[rows] * t + ((phase - 1.0) / (1j * kw) * coef[rows]).real.sum(axis=-1)
+        return value, c0[rows] + (phase * coef[rows]).real.sum(axis=-1)
 
-    row = [np.array([v]) for v in (t, lo, hi, target)]
-    return float(_newton(C, *row, 8, "half balance")[0])
+    return _newton(C, t, lo, hi, target, 8, "half balance")
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +273,11 @@ def _balance_polytopes(tris: np.ndarray) -> list:
 
 
 def _theta_only(K: ConvexBody3, grid: SphereGrid) -> float:
-    """Theta of a smooth body from its sampled beta-profile."""
-    m = grid.n_beta  # samples of the pi-periodic beta profile
-    betas = np.arange(m) * (PI / m)
-    dirs = sphere_point(grid.alpha[:, None], betas[None, :])
-    rho = K.radial_many(dirs)
+    """Theta of a smooth body from its beta-profile, sampled at the grid's
+    Theta directions: a one-row solve."""
+    rho = K.radial_many(grid.theta_dirs)
     J = np.sum(grid.w_alpha[:, None] * rho**3, axis=0)
-    return _half_balance(J)
-
-
-def _circle_balance(K: ConvexBody3, beta: float, grid: SphereGrid) -> float:
-    m = 4 * max(grid.n_beta, 2 * grid.n_alpha)
-    alphas = np.arange(m) * (PI / m)
-    rho = K.radial_many(sphere_point(alphas, np.full(m, beta)))
-    return _half_balance(rho**2)
+    return float(_half_balance(J[None])[0])
 
 
 def balance_angles(K, grid: SphereGrid):
@@ -293,9 +290,13 @@ def balance_angles(K, grid: SphereGrid):
     if isinstance(K, SymmetricPolytope):
         return _balance_polytopes(K.vertices[K.triangles][None])[0]
     theta = _theta_only(K, grid)
-    phi = _circle_balance(K, 0.0, grid)
-    psi = _circle_balance(K, theta, grid)
-    return BalanceAngles(theta, phi, psi)
+    # Phi and Psi balance rho^2 on the half-circles beta = 0 and beta = Theta:
+    # one radial pass over both, and one two-row solve
+    m = 4 * max(grid.n_beta, 2 * grid.n_alpha)
+    alphas = np.arange(m) * (PI / m)
+    rho = K.radial_many(np.stack([sphere_point(alphas, np.full(m, beta)) for beta in (0.0, theta)]))
+    phi, psi = _half_balance(rho**2)
+    return BalanceAngles(theta, float(phi), float(psi))
 
 
 def balance_residuals(K: ConvexBody3, ang: BalanceAngles):

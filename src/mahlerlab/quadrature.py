@@ -22,6 +22,7 @@ cross-polytope) exact to machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,21 @@ class SphereGrid:
     weights: np.ndarray  # product weights; sum 4*pi
     octant: np.ndarray  # (N,) 0..7
 
+    # tables of the smooth measures, built once per grid where first read:
+    # the command line builds a grid per call, and a polytope reads neither
+
+    @functools.cached_property
+    def octant_nodes(self) -> tuple:
+        """Per octant, the ascending indices of its nodes."""
+        return tuple(np.flatnonzero(self.octant == i) for i in range(8))
+
+    @functools.cached_property
+    def theta_dirs(self) -> np.ndarray:
+        """The (n_alpha, n_beta, 3) directions at beta = j pi / n_beta of the
+        pi-periodic beta profile that Theta balances."""
+        betas = np.arange(self.n_beta) * (math.pi / self.n_beta)
+        return sphere_point(self.alpha[:, None], betas[None, :])
+
 
 def make_grid(n_alpha: int, n_beta: int) -> SphereGrid:
     """Product grid, split at every coordinate plane.
@@ -84,7 +100,7 @@ def make_grid(n_alpha: int, n_beta: int) -> SphereGrid:
     w_beta = np.tile(wb * quarter / 2.0, 4)
     units = sphere_point(alpha[:, None], beta[None, :]).reshape(-1, 3)
     weights = (w_alpha[:, None] * w_beta[None, :]).reshape(-1)
-    octant = _octant_index(units)
+    octant = _octant_index(units.T)
     return SphereGrid(
         n_alpha, n_beta, alpha, w_alpha, beta, w_beta, units, weights, octant
     )
@@ -99,7 +115,11 @@ def volume(K: ConvexBody3, grid: SphereGrid) -> float:
     (1/3) sum w rho^3 otherwise."""
     if isinstance(K, SymmetricPolytope):
         return float(np.sum(_cone6(K.vertices[K.triangles]))) / 6.0
-    rho = K.radial_many(grid.units)
+    return _table_volume(K.radial_many(grid.units), grid)
+
+
+def _table_volume(rho: np.ndarray, grid: SphereGrid) -> float:
+    """|K| from its radial table rho on grid.units."""
     return float(np.sum(grid.weights * rho**3) / 3.0)
 
 
@@ -227,10 +247,13 @@ def octant_volumes(K: ConvexBody3, grid: SphereGrid):
         ov = _upper_octants(K.vertices[K.triangles])[0]
         # by central symmetry octant i + 4 is the antipode of octant (i + 2) mod 4
         return np.concatenate([ov, ov[[2, 3, 0, 1]]])
-    rho3 = K.radial_many(grid.units) ** 3 * grid.weights
-    return np.array(
-        [np.sum(rho3[grid.octant == i]) / 3.0 for i in range(8)]
-    )
+    return _table_octants(K.radial_many(grid.units), grid)
+
+
+def _table_octants(rho: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """The octant volumes of K from its radial table rho on grid.units."""
+    rho3 = rho**3 * grid.weights
+    return np.array([np.sum(rho3[nodes]) / 3.0 for nodes in grid.octant_nodes])
 
 
 def wedge_volume(K: SymmetricPolytope, b0: float, b1: float) -> float:
@@ -253,17 +276,23 @@ _OCTANT_OF_SIGN_BITS = np.argsort(
 )
 
 
-def _octant_index(x: np.ndarray) -> np.ndarray:
-    """Octant index per row of x, in the fixed sign-pattern order."""
-    neg = x < 0
-    return _OCTANT_OF_SIGN_BITS[4 * neg[:, 0] + 2 * neg[:, 1] + neg[:, 2]]
+def _octant_index(c: np.ndarray) -> np.ndarray:
+    """Octant index per point of the coordinate rows c = (x, y, z), in the
+    fixed sign-pattern order."""
+    return _OCTANT_OF_SIGN_BITS[4 * (c[0] < 0) + 2 * (c[1] < 0) + (c[2] < 0)]
 
 
 def _classify_octants(x: np.ndarray):
-    """Octant index per row of x; also the fraction of near-plane points."""
-    scale = np.linalg.norm(x, axis=-1)
-    near = np.min(np.abs(x), axis=-1) < 1e-9 * scale
-    return _octant_index(x), float(np.mean(near)) if len(x) else 0.0
+    """Octant index per row of the (N, 3) points x; also the fraction of
+    near-plane points.  The norm and the smallest |coordinate| come from the
+    three rows of |x|, in the order of the reductions over the last axis
+    that they replace (|c|^2 is c^2 bit for bit)."""
+    c = np.moveaxis(x, -1, 0)
+    a = np.abs(c, order="C")
+    least = np.minimum(np.minimum(a[0], a[1]), a[2])
+    a *= a
+    near = least < 1e-9 * np.sqrt(a[0] + a[1] + a[2])
+    return _octant_index(c), float(np.mean(near)) if len(x) else 0.0
 
 
 def polar_piece_volumes(K: ConvexBody3, grid: SphereGrid):
@@ -281,10 +310,14 @@ def _polar_pieces(Kp: ConvexBody3, grid: SphereGrid):
         if near > 0:
             raise ClassificationUnstable("a vertex lies on a coordinate plane")
         return np.bincount(idx, np.abs(_cone6(tris)) / 6.0, minlength=8)
-    rho = Kp.radial_many(grid.units)
-    y = grid.units * rho[:, None]
-    x = Kp.lambda_many(y)
-    idx, near = _classify_octants(x)
+    return _table_pieces(Kp, Kp.radial_many(grid.units), grid)
+
+
+def _table_pieces(Kp: ConvexBody3, rho: np.ndarray, grid: SphereGrid):
+    """The polar piece volumes from a smooth Kp = polar(K) and its radial
+    table rho on grid.units."""
+    # the boundary points are a temporary, let go before the classification
+    idx, near = _classify_octants(Kp.lambda_many(grid.units * rho[:, None]))
     if near > 1e-3:
         raise ClassificationUnstable(
             f"{near:.2%} of nodes sit on a piece boundary"
@@ -293,6 +326,19 @@ def _polar_pieces(Kp: ConvexBody3, grid: SphereGrid):
     out = np.zeros(8)
     np.add.at(out, idx, contrib)
     return out
+
+
+def _chain_measures(K: ConvexBody3, Kp: ConvexBody3, grid: SphereGrid):
+    """|K|, |Kp|, the octant volumes of K and the polar pieces, for Kp =
+    polar(K).  A smooth body's radial table on grid.units, and its polar's,
+    are each sampled once and feed every measure that reads it."""
+    if isinstance(K, SymmetricPolytope):
+        return volume(K, grid), volume(Kp, grid), octant_volumes(K, grid), _polar_pieces(Kp, grid)
+    rho = K.radial_many(grid.units)
+    vol, ov = _table_volume(rho, grid), _table_octants(rho, grid)
+    # K's table is let go before the polar pieces, the peak of the chain
+    rho = Kp.radial_many(grid.units)
+    return vol, _table_volume(rho, grid), ov, _table_pieces(Kp, rho, grid)
 
 
 # ---------------------------------------------------------------------------

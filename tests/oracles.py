@@ -26,7 +26,10 @@ hull of the projected vertices.  The library clips planar regions as
 segment sets by half-planes through the origin; the reference clip is
 Sutherland-Hodgman on the vertex list.  The winding contour, which the
 library refines in breadth-first rounds of batched points, is checked
-against the depth-first loop that evaluates one point at a time.
+against the depth-first loop that evaluates one point at a time.  The lp
+ball's gauge, support and boundary map, which the library runs on three
+coordinate rows, are checked bit for bit against the formulas over a
+trailing axis of length 3.
 """
 
 from __future__ import annotations
@@ -250,7 +253,12 @@ def bisect_sector_polytope(K, beta):
     return bisect(lambda phi: sector(phi) < target, 1e-5, math.pi - 1e-5, 60)
 
 
-def bisect_half_balance(vals):
+def bisect_half_balance(rows):
+    """Half-balance angles of the (R, n) rows of samples, one row at a time."""
+    return np.array([_bisect_half_balance_row(vals) for vals in rows])
+
+
+def _bisect_half_balance_row(vals):
     """Half-balance angle of g sampled uniformly over [0, pi) by 64 halvings
     on its spectral antiderivative C(t) = int_0^t g, against C(pi)/2."""
     n = len(vals)
@@ -533,3 +541,25 @@ def depth_first_winding(K, n_samples, grid):
             i += 1
             rows.append((ts[i], *v, total))
     return np.array(rows), int(round(total / (2 * math.pi)))
+
+
+def lp_gauge(K, pts):
+    """An LpBall's gauge in the (..., 3) form: (|x| / a)^p summed over the
+    last axis, whose reduction adds the three terms left to right."""
+    z = np.abs(np.asarray(pts, dtype=float)) / K.axes
+    return np.sum(z**K.p, axis=-1) ** (1.0 / K.p)
+
+
+def lp_support(K, us):
+    """An LpBall's support function in the (..., 3) form."""
+    z = np.abs(np.asarray(us, dtype=float)) * K.axes
+    return np.sum(z**K.q, axis=-1) ** (1.0 / K.q)
+
+
+def lp_lambda(K, pts):
+    """An LpBall's boundary map in the (..., 3) form: the gradient of the
+    gauge at the point renormalized onto the boundary."""
+    pts = np.asarray(pts, dtype=float)
+    x = pts / lp_gauge(K, pts)[..., None]
+    z = np.abs(x) / K.axes
+    return np.sign(x) * z ** (K.p - 1.0) / K.axes

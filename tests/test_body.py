@@ -212,6 +212,35 @@ class TestGaugeRadial:
             assert np.allclose(K.radial_many(us), K.radial_many(-us), rtol=1e-12)
 
 
+class TestLpRowKernels:
+    """The LpBall evaluators run on coordinate rows; each value is bit for
+    bit that of the (..., 3) formula of the oracles, on the ball and on a
+    linear image of it."""
+
+    SHAPES = [(3,), (0, 3), (40, 3), (4, 5, 3), (2, 7, 3)]
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.7, 9.0, "random"])
+    def test_match_last_axis_formulas(self, p):
+        rng = np.random.default_rng(17 if p == "random" else int(10 * p))
+        K = LpBall(rng.uniform(1.2, 9.0) if p == "random" else p, rng.uniform(0.5, 2.0, size=3))
+        A = LinearMap3(np.eye(3) + 0.3 * rng.standard_normal((3, 3)))
+        L, inv = K.transformed(A), A.inverse
+        for shape in self.SHAPES:
+            x = rng.standard_normal(shape)
+            x.reshape(-1)[::5] = 0.0  # points on the coordinate planes
+            cases = [
+                (K.gauge_many(x), oracles.lp_gauge(K, x)),
+                (K.support_many(x), oracles.lp_support(K, x)),
+                (K.lambda_many(x), oracles.lp_lambda(K, x)),
+                (L.gauge_many(x), oracles.lp_gauge(K, x @ inv.T)),
+                (L.support_many(x), oracles.lp_support(K, x @ A.matrix)),
+                (L.lambda_many(x), oracles.lp_lambda(K, x @ inv.T) @ inv),
+            ]
+            for got, want in cases:
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
+
 class TestSupport:
     def test_cube_support(self):
         assert support(cube(), (1.0, 1.0, 1.0)) == pytest.approx(3.0, abs=1e-14)

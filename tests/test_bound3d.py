@@ -13,6 +13,7 @@ from conftest import (
 )
 from mahlerlab import bound3d, errors, normalize, quadrature
 from mahlerlab.body import (
+    ConvexBody3,
     LinearMap3,
     LpBall,
     SymmetricPolytope,
@@ -269,6 +270,29 @@ class TestVerifyChain:
         assert args["section_areas"] is K
         assert args["projection_areas"] is args["_polar_pieces"]
         assert np.array_equal(args["projection_areas"].vertices, polar(K).vertices)
+
+
+    @pytest.mark.parametrize("which", ["lp", "transformed"])
+    def test_one_radial_pass_per_smooth_body(self, grid, monkeypatch, which):
+        # the volumes, the octants and the polar pieces read one radial table
+        # on grid.units for K and one for its polar
+        K = LpBall(3.0, (1.0, 0.7, 1.3))
+        if which == "transformed":
+            K = random_smooth_body(np.random.default_rng(112))
+        passes = []
+        radial = ConvexBody3.radial_many
+
+        def counted(self, us):
+            if us is grid.units:
+                passes.append(self)
+            return radial(self, us)
+
+        monkeypatch.setattr(ConvexBody3, "radial_many", counted)
+        rep = verify_chain(K, grid)
+        monkeypatch.undo()
+        assert len(passes) == 2
+        assert passes[0] is K
+        assert quadrature.volume(passes[1], grid) == rep.polar_volume == quadrature.volume(polar(K), grid)
 
 
 class TestCone:

@@ -8,7 +8,7 @@ import oracles
 from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
 from mahlerlab import bound2d, errors, normalize, planar, quadrature
 from mahlerlab.bound2d import normalize2
-from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, SymmetricPolytope, _cone6, cross_polytope, cube
+from mahlerlab.body import Ellipsoid, LinearMap3, LpBall, SymmetricPolytope, _cone6, cross_polytope, cube, sphere_point
 from mahlerlab.bound3d import verify_chain
 from mahlerlab.normalize import (
     BalanceAngles,
@@ -281,9 +281,22 @@ class TestSmoothSolvers:
             solve(vals)
             assert len(rows) <= 8
 
+    def test_half_balance_rows_match_single_rows(self, grid):
+        # Phi and Psi are one two-row solve on one radial pass; each row is
+        # bit for bit its own samples solved alone
+        m = 4 * max(grid.n_beta, 2 * grid.n_alpha)
+        alphas = np.arange(m) * (PI / m)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            K = random_smooth_body(rng)
+            ang = balance_angles(K, grid)
+            rows = [K.radial_many(sphere_point(alphas, np.full(m, b))) ** 2 for b in (0.0, ang.theta_cap)]
+            alone = [normalize._half_balance(r[None])[0] for r in rows]
+            assert list(normalize._half_balance(np.stack(rows))) == alone == [ang.phi_cap, ang.psi_cap]
+
     def test_half_balance_nan_is_no_convergence(self):
         with pytest.raises(errors.NoConvergence):
-            normalize._half_balance(np.full(64, np.nan))
+            normalize._half_balance(np.full((1, 64), np.nan))
 
     def test_t_map_without_sign_change_is_no_convergence(self, monkeypatch):
         # above every target pi - Theta_0 s, so no root in the box height

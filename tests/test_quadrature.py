@@ -16,6 +16,7 @@ from mahlerlab.body import (
     cross_polytope,
     cube,
     polar,
+    sphere_point,
 )
 from mahlerlab.quadrature import (
     OCTANT_SIGNS,
@@ -66,6 +67,27 @@ class TestMakeGrid:
         for i, s in enumerate(OCTANT_SIGNS):
             m = g.octant == i
             assert np.all(g.units[m] * np.array(s) > 0)
+
+
+    @pytest.mark.parametrize("na,nb", [(8, 16), (96, 192)])
+    def test_per_grid_tables(self, na, nb):
+        g = make_grid(na, nb)
+        for i in range(8):
+            assert np.array_equal(g.octant_nodes[i], np.flatnonzero(g.octant == i))
+        betas = np.arange(nb) * (math.pi / nb)
+        assert np.array_equal(g.theta_dirs, sphere_point(g.alpha[:, None], betas[None, :]))
+
+    def test_classify_octants_matches_last_axis_reductions(self):
+        rng = np.random.default_rng(23)
+        for scale in (1e-150, 1.0, 1e150):
+            x = rng.standard_normal((2000, 3)) * scale
+            x[:20, 1] *= 1e-12
+            x[20:40, 2] = 0.0
+            idx, near = quadrature._classify_octants(x)
+            want = np.min(np.abs(x), axis=-1) < 1e-9 * np.linalg.norm(x, axis=-1)
+            assert near == float(np.mean(want)) > 0.0
+            signs = np.array(OCTANT_SIGNS)[idx]
+            assert np.all((signs > 0) == (x >= 0))
 
 
 class TestVolume:
