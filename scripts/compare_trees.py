@@ -10,15 +10,20 @@ commit exported with `git archive` and the working tree) are compared from
 one place, each dumped in its own process.  Set OPENBLAS_NUM_THREADS=1 for
 both.  It records, on nine polytopes (the cube, the cross-polytope, a cube
 under a map with det -1, three perturbed cubes and three random polytopes
-from default_rng(1001)), on two smooth bodies (an lp ball in normalized
+from default_rng(1001)), on two lp bodies (an lp ball in normalized
 position, where the search takes its quick exit, and a linear image of an
-lp ball drawn from default_rng(1001)) and on twelve symmetric polygons
-(drawn from default_rng(1001) as the benchmark's `cli_screen` draws them):
+lp ball drawn from default_rng(1001)), on three 32x64 radial tables (the l4
+ball and the unit ball, tabulated as the benchmark's `cli_screen` tabulates
+them, and a linear image of an lp ball drawn from default_rng(1001)), on an
+ellipsoid and on twelve symmetric polygons (drawn from default_rng(1001) as
+`cli_screen` draws them):
 
-- cli: the exit code, stdout and report of `vp`, `verify` and `winding` at
-  the default 128x256 grid, `sweep --n 3` at 32x64, and `normalize` at
-  32x64 on two of the polytopes; `vp`, `verify`, `winding`, `sweep --n 3`
-  and `normalize` at 32x64 on the smooth bodies; `verify2` on each polygon;
+- cli: the exit code, stdout and report of `vp`, `polar`, `verify` and
+  `winding` at the default 128x256 grid, `sweep --n 3` at 32x64, and
+  `normalize` at 32x64 on two of the polytopes; `vp`, `polar`, `verify`,
+  `winding`, `sweep --n 3` and `normalize` at 32x64 on the lp bodies; `vp`,
+  `polar` and `verify` at 128x256 on the tables and the ellipsoid; `verify2`
+  on each polygon;
 - fn: for each body and five (phi, psi), (F, G, H) at the box points
   (0, phi, psi) and (0.5, phi, psi); and of the body turned by
   X(0) Y(phi) Z(psi), the condition residuals r22, r23, the volume, the
@@ -71,13 +76,25 @@ def corpus(body):
 
 
 def smooth_descriptors():
-    """The two smooth bodies as body-file descriptors."""
+    """The smooth bodies as body-file descriptors; the tables are computed
+    here with numpy alone, so both trees read the same files."""
     rng = np.random.default_rng(1001)
     p, axes = rng.uniform(2.5, 4.5), rng.uniform(0.7, 1.4, size=3)
     A = np.eye(3) + 0.25 * rng.standard_normal((3, 3))
+    # the table directions of a 32x64 radial table
+    a, b = np.linspace(0.0, math.pi, 33)[:, None], np.arange(64)[None, :] * (2.0 * math.pi / 64)
+    units = np.stack([np.cos(a) * np.ones_like(b), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1)
+    q, axes_t = rng.uniform(2.5, 4.5), rng.uniform(0.7, 1.4, size=3)
+    B = np.eye(3) + 0.25 * rng.standard_normal((3, 3))
+    image = np.sum(np.abs((units @ np.linalg.inv(B).T) / axes_t) ** q, axis=-1) ** (-1.0 / q)
+    C = np.eye(3) + 0.25 * rng.standard_normal((3, 3))
     return {
         "lp_normal": {"type": "lp", "p": 3.0, "axes": [1.0, 0.7, 1.3]},
         "lp_turned": {"type": "transformed", "base": {"type": "lp", "p": p, "axes": axes.tolist()}, "matrix": A.tolist()},
+        "radial_l4": {"type": "radial", "values": (1.0 / np.sum(units**4, axis=-1) ** 0.25).tolist()},
+        "radial_ball": {"type": "radial", "values": np.ones((33, 64)).tolist()},
+        "radial_image": {"type": "radial", "values": image.tolist()},
+        "ellipsoid": {"type": "ellipsoid", "matrix": (C @ C.T).tolist()},
     }
 
 
@@ -104,11 +121,13 @@ def _runs(name):
         return [("verify2", [])]
     coarse = ["--grid", "32x64"]
     if name.startswith("lp_"):
-        return [(cmd, coarse) for cmd in ("vp", "verify", "winding")] + [
+        return [(cmd, coarse) for cmd in ("vp", "polar", "verify", "winding")] + [
             ("sweep", coarse + ["--n", "3"]),
             ("normalize", coarse),
         ]
-    runs = [("vp", []), ("verify", []), ("winding", []), ("sweep", ["--grid", "32x64", "--n", "3"])]
+    if name.startswith(("radial_", "ellipsoid")):
+        return [("vp", []), ("polar", []), ("verify", [])]
+    runs = [("vp", []), ("polar", []), ("verify", []), ("winding", []), ("sweep", ["--grid", "32x64", "--n", "3"])]
     if name in NORMALIZED:
         runs.append(("normalize", ["--grid", "32x64"]))
     return runs

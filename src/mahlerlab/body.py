@@ -69,7 +69,12 @@ class LinearMap3:
         if not np.all(np.isfinite(m)):
             raise BadParameter("LinearMap3 needs finite entries")
         d = float(np.linalg.det(m))
-        if abs(d) <= 1e-12:
+        # scale-free: |det| over the product of the row lengths (Hadamard's
+        # bound), divided out one row at a time so that nothing overflows.
+        # A zero row gives det 0 exactly, refused; so is a det that
+        # underflows to 0, since its sign orients images
+        a, b, c = (math.hypot(*row) for row in m.tolist())
+        if d == 0.0 or abs(d) / a / b / c <= 1e-12:
             raise SingularMap(f"matrix is singular (det={d:g})")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "det", d)
@@ -392,24 +397,95 @@ def _table_units(na, nb):
     return sphere_point(al[:, None], be[None, :])
 
 
-# entries of one query-by-table block of _max_dot: 2 MB of float64 stays in
-# cache, where a 32 MB block ran 2-3x slower on the same rows
+# entries of one query-by-column block of _max_dot: 2 MB of float64 stays in
+# cache, where a 32 MB block ran 2-3x slower on the same rows; each direction
+# bin's rows are cut into such blocks too, however many columns it keeps
 _MAX_DOT_CHUNK = 262_144
+# queries per direction bin of _max_dot: a batch of m queries is cut n ways
+# along each axis of its unit directions, n = isqrt(m // _MAX_DOT_BIN), so a
+# batch below 4 * _MAX_DOT_BIN (a 33x64 table's 2,112 directions) is one bin
+_MAX_DOT_BIN = 1024
 
 
 def _max_dot(x, pts, reduce=np.max):
-    """max_j x . pts[j] for a batch of query vectors, in cache-sized row
-    blocks; with reduce=np.argmax, the maximizing index j instead."""
+    """max_j x . pts[j] for a batch of query vectors; with reduce=np.argmax,
+    the first maximizing index j instead.
+
+    The queries are binned by direction, and each bin is reduced over only
+    the columns that can reach a value it attains (_bin_columns).  A bin's
+    kept columns, in ascending order, go through gemm in row blocks of at
+    least two rows and about _MAX_DOT_CHUNK entries.  So the maxima and the
+    first maximizers are those of the product with every column bit for
+    bit, wherever BLAS computes an entry alike in any block.  OpenBLAS does,
+    but in gemv for a one-row or one-column product and in the tail kernels
+    for the last width % 8 columns of a wide block: a bin's columns are
+    padded to a multiple of 8, so a column count that is one too (a 33x64
+    table's 2,112) is exact."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, 3)
     out = np.empty(len(flat), dtype=np.intp if reduce is np.argmax else float)
-    # blocks of at least two rows: numpy sends a one-row product to BLAS gemv,
-    # whose last bits differ from the gemm of the other blocks
-    step = max(2, _MAX_DOT_CHUNK // max(len(pts), 1))
-    starts = range(0, max(len(flat) - 1, 1), step)
-    for k, stop in zip(starts, [*starts[1:], len(flat)]):
-        out[k:stop] = reduce(flat[k:stop] @ pts.T, axis=1)
+    if not len(flat):
+        return out.reshape(x.shape[:-1])
+    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    for rows in _direction_bins(flat):
+        xb = flat[rows]
+        cols = _bin_columns(xb, pts, norms)
+        kept = pts[cols]
+        step = max(2, _MAX_DOT_CHUNK // max(len(cols), 1))
+        starts = range(0, max(len(xb) - 1, 1), step)
+        for k, stop in zip(starts, [*starts[1:], len(xb)]):
+            v = reduce(xb[k:stop] @ kept.T, axis=1)
+            out[rows[k:stop]] = cols[v] if reduce is np.argmax else v
     return out.reshape(x.shape[:-1])
+
+
+def _direction_bins(flat):
+    """The ascending row indices of each direction bin of the (m, 3)
+    queries.  The cells cut the cube [-1, 1]^3 of unit directions n ways
+    along each axis, n growing with m (_MAX_DOT_BIN); a cell of one query
+    joins the next (the last, the one before), so every bin of a batch of
+    two or more has two rows."""
+    n = math.isqrt(len(flat) // _MAX_DOT_BIN)
+    cell = np.zeros(len(flat), dtype=np.intp)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        norm = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        for c in flat.T:
+            cell = cell * n + np.minimum((c / norm + 1.0) * (n / 2), max(n - 1, 0)).astype(np.intp)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    size = np.diff(np.r_[starts, len(flat)])
+    joins = np.r_[False, size[:-1] < 2]
+    joins[-1] |= size[-1] < 2
+    joins[0] = False
+    return np.split(order, starts[~joins][1:])
+
+
+def _bin_columns(xb, pts, norms):
+    """The ascending indices of the columns pts[j] (of norms |pts[j]|) that
+    can reach a value the bin xb of queries attains.
+
+    Over a bin of centre c and angular radius r, x . p <= |x|max |p|
+    cos(max(0, angle(c, p) - r)).  A column is dropped only where that bound
+    falls below the least dot of the bin's rows with the column best along c,
+    by more than 1e-9 |x|max max|p|; r carries 1e-6 of slack.  Both are far
+    above the rounding of the dots and of arccos (at most 3e-8 near 0 and pi),
+    so no maximizer is dropped, and a NaN keeps its column."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xn = np.sqrt(np.einsum("ij,ij->i", xb, xb))
+        u = xb / xn[:, None]
+        c = np.sum(u, axis=0)
+        c /= math.sqrt(c @ c)
+        r = np.max(np.arccos(np.clip(u @ c, -1.0, 1.0))) + 1e-6
+        d = pts @ c
+        low = np.min(xb @ pts[np.argmax(d)])
+        top = np.max(xn)
+        cos = np.cos(np.maximum(np.arccos(np.clip(d / norms, -1.0, 1.0)) - r, 0.0))
+        keep = ~(top * norms * np.maximum(cos, 0.0) < low - 1e-9 * top * np.max(norms))
+    cols = np.flatnonzero(keep)
+    # padded to a multiple of 8 with the last kept column, which changes no
+    # maximum or first maximizer and leaves no tail columns (see _max_dot)
+    return np.concatenate([cols, np.full(-len(cols) % 8, cols[-1])])
 
 
 def _polar_table(vals, units):
@@ -430,13 +506,16 @@ class RadialField(ConvexBody3):
     involution to machine precision, while the canonical table differs from
     the raw input only by its convexity defect (zero at hull vertices).
 
-    The boundary map costs one argmax pass of the query points over the
-    polar table (the table directions u / h_K(u)), a quadratic fit whose 3x3
-    stencil is read off that table, and one support pass at the fitted
-    directions.
+    The support h_K at the table directions is computed once per body, where
+    first read; the polar table is 1 / h_K, and the boundary map reads it too.
+    Past that, the boundary map costs one argmax pass of the query points
+    over the polar table (the table directions u / h_K(u)), a quadratic fit
+    whose 3x3 stencil is read off that table, and one support pass at the
+    fitted directions.  A body stays immutable: the stored h_K is a function
+    of its table alone.
     """
 
-    __slots__ = ("values", "n_alpha", "n_beta", "_bpts")
+    __slots__ = ("values", "n_alpha", "n_beta", "_bpts", "_h")
 
     def __init__(self, values):
         vals = np.array(values, dtype=float)
@@ -507,7 +586,7 @@ class RadialField(ConvexBody3):
         flat = x.reshape(-1, 3)
         na, nb = self.n_alpha, self.n_beta
         units = _table_units(na, nb).reshape(-1, 3)
-        h = self.support_many(units)
+        h = self._table_support()
         best = _max_dot(flat, units / h[:, None], reduce=np.argmax)
         ia = np.clip(best // nb, 1, na - 1)
         ib = best % nb
@@ -534,9 +613,18 @@ class RadialField(ConvexBody3):
         y = u1 / self.support_many(u1)[:, None]
         return y.reshape(pts.shape)
 
+    def _table_support(self):
+        """h_K at the ((n_alpha + 1) * n_beta,) table directions, alpha-major."""
+        try:
+            return self._h
+        except AttributeError:
+            h = self.support_many(_table_units(self.n_alpha, self.n_beta).reshape(-1, 3))
+            object.__setattr__(self, "_h", h)
+            return h
+
     def polar_body(self):
-        units = _table_units(self.n_alpha, self.n_beta)
-        return RadialField(_polar_table(self.values, units))
+        # 1 / h_K is _polar_table(values, units) bit for bit: the same pass
+        return RadialField(1.0 / self._table_support().reshape(self.values.shape))
 
 
 class TransformedBody(ConvexBody3):

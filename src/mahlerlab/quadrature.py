@@ -50,18 +50,74 @@ OCTANT_SIGNS = (
 
 @dataclass(frozen=True)
 class SphereGrid:
+    """Product grid on the sphere, split at every coordinate plane.
+
+    Gauss-Legendre in cos(alpha), separately on the two half-ranges, and
+    Gauss-Legendre in beta separately on each quadrant of the circle, so
+    octant restrictions of the quadrature are spectrally accurate sub-sums
+    (a single uniform beta rule would drop to O(n^-2) there).
+
+    Every table is built where it is first read: the command line builds a
+    grid per call, and a polytope, a polar or a planar body reads none."""
+
     n_alpha: int
     n_beta: int
-    alpha: np.ndarray  # (n_alpha,) ascending
-    w_alpha: np.ndarray  # GL weights in cos(alpha); sum 2
-    beta: np.ndarray  # (n_beta,) GL nodes per quadrant of the circle
-    w_beta: np.ndarray  # matching weights; sum 2*pi
-    units: np.ndarray  # (n_alpha*n_beta, 3)
-    weights: np.ndarray  # product weights; sum 4*pi
-    octant: np.ndarray  # (N,) 0..7
 
-    # tables of the smooth measures, built once per grid where first read:
-    # the command line builds a grid per call, and a polytope reads neither
+    @functools.cached_property
+    def _rules(self) -> tuple:
+        """The Gauss-Legendre rules (x, w) on [-1, 1] of n_alpha / 2 and of
+        n_beta / 4 points; one solve serves both where the counts agree."""
+        ra = np.polynomial.legendre.leggauss(self.n_alpha // 2)
+        if self.n_beta // 4 == self.n_alpha // 2:
+            return ra, ra
+        return ra, np.polynomial.legendre.leggauss(self.n_beta // 4)
+
+    @functools.cached_property
+    def _alpha_rule(self) -> tuple:
+        """(alpha, w_alpha), in ascending alpha."""
+        x, w = self._rules[0]
+        cos_nodes = np.concatenate([(x - 1.0) / 2.0, (x + 1.0) / 2.0])
+        w_alpha = np.concatenate([w / 2.0, w / 2.0])
+        alpha = np.arccos(cos_nodes)
+        order = np.argsort(alpha)
+        return alpha[order], w_alpha[order]
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        """(n_alpha,) ascending."""
+        return self._alpha_rule[0]
+
+    @functools.cached_property
+    def w_alpha(self) -> np.ndarray:
+        """The Gauss-Legendre weights in cos(alpha); sum 2."""
+        return self._alpha_rule[1]
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        """(n_beta,) Gauss-Legendre nodes per quadrant of the circle."""
+        xb = self._rules[1][0]
+        quarter = 0.5 * math.pi
+        return np.concatenate([(xb + 1.0) / 2.0 * quarter + q * quarter for q in range(4)])
+
+    @functools.cached_property
+    def w_beta(self) -> np.ndarray:
+        """The matching weights; sum 2 pi."""
+        return np.tile(self._rules[1][1] * (0.5 * math.pi) / 2.0, 4)
+
+    @functools.cached_property
+    def units(self) -> np.ndarray:
+        """(n_alpha * n_beta, 3) nodes, alpha-major."""
+        return sphere_point(self.alpha[:, None], self.beta[None, :]).reshape(-1, 3)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Product weights; sum 4 pi."""
+        return (self.w_alpha[:, None] * self.w_beta[None, :]).reshape(-1)
+
+    @functools.cached_property
+    def octant(self) -> np.ndarray:
+        """(N,) octant index 0..7 of each node."""
+        return _octant_index(self.units.T)
 
     @functools.cached_property
     def octant_nodes(self) -> tuple:
@@ -77,33 +133,12 @@ class SphereGrid:
 
 
 def make_grid(n_alpha: int, n_beta: int) -> SphereGrid:
-    """Product grid, split at every coordinate plane.
-
-    Gauss-Legendre in cos(alpha), separately on the two half-ranges, and
-    Gauss-Legendre in beta separately on each quadrant of the circle, so
-    octant restrictions of the quadrature are spectrally accurate sub-sums
-    (a single uniform beta rule would drop to O(n^-2) there).
-    """
+    """The SphereGrid of n_alpha x n_beta nodes, after checking the sizes."""
     if not (8 <= n_alpha <= 4096 and 16 <= n_beta <= 4096):
         raise BadGridSize("grid sizes must lie in [8,4096] x [16,4096]")
     if n_alpha % 2 or n_beta % 4:
         raise BadGridSize("need n_alpha even and n_beta divisible by 4")
-    x, w = np.polynomial.legendre.leggauss(n_alpha // 2)
-    cos_nodes = np.concatenate([(x - 1.0) / 2.0, (x + 1.0) / 2.0])
-    w_alpha = np.concatenate([w / 2.0, w / 2.0])
-    alpha = np.arccos(cos_nodes)
-    order = np.argsort(alpha)
-    alpha, w_alpha = alpha[order], w_alpha[order]
-    xb, wb = np.polynomial.legendre.leggauss(n_beta // 4)
-    quarter = 0.5 * math.pi
-    beta = np.concatenate([(xb + 1.0) / 2.0 * quarter + q * quarter for q in range(4)])
-    w_beta = np.tile(wb * quarter / 2.0, 4)
-    units = sphere_point(alpha[:, None], beta[None, :]).reshape(-1, 3)
-    weights = (w_alpha[:, None] * w_beta[None, :]).reshape(-1)
-    octant = _octant_index(units.T)
-    return SphereGrid(
-        n_alpha, n_beta, alpha, w_alpha, beta, w_beta, units, weights, octant
-    )
+    return SphereGrid(n_alpha, n_beta)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ library refines in breadth-first rounds of batched points, is checked
 against the depth-first loop that evaluates one point at a time.  The lp
 ball's gauge, support and boundary map, which the library runs on three
 coordinate rows, are checked bit for bit against the formulas over a
-trailing axis of length 3.
+trailing axis of length 3.  The library's max-dot kernel, which bins its
+queries by direction and reduces each bin over the columns that can reach
+its maxima, is checked bit for bit against the full product in row blocks.
 """
 
 from __future__ import annotations
@@ -350,7 +352,7 @@ def sampled_dual_curve_vector(K, P, Q):
 def stencil_radial_lambda(K, pts):
     """Boundary map of a RadialField with its quadratic-fit stencil evaluated
     by one support pass per stencil node (nine passes over all points)."""
-    from mahlerlab.body import _max_dot, _table_units, sphere_point
+    from mahlerlab.body import _table_units, sphere_point
 
     pts = np.asarray(pts, dtype=float)
     mu = K.gauge_many(pts)
@@ -360,7 +362,7 @@ def stencil_radial_lambda(K, pts):
     na, nb = K.n_alpha, K.n_beta
     units = _table_units(na, nb).reshape(-1, 3)
     h = K.support_many(units)
-    best = _max_dot(flat, units / h[:, None], reduce=np.argmax)
+    best = brute_max_dot(flat, units / h[:, None], reduce=np.argmax)
     ia = np.clip(best // nb, 1, na - 1).astype(float)
     ib = (best % nb).astype(float)
     da, db = math.pi / na, 2.0 * math.pi / nb
@@ -387,6 +389,23 @@ def stencil_radial_lambda(K, pts):
     u1 = sphere_point(a1, b1)
     y = u1 / K.support_many(u1)[:, None]
     return y.reshape(pts.shape)
+
+
+def brute_max_dot(x, pts, reduce=np.max):
+    """max_j x . pts[j] (or, with reduce=np.argmax, the first maximizing j)
+    over every column, in row blocks of at least two rows and at most
+    body._MAX_DOT_CHUNK entries: a one-row block is a BLAS gemv, whose last
+    bits differ from gemm's, so only a batch of one query takes it."""
+    from mahlerlab import body
+
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, 3)
+    out = np.empty(len(flat), dtype=np.intp if reduce is np.argmax else float)
+    step = max(2, body._MAX_DOT_CHUNK // max(len(pts), 1))
+    starts = range(0, max(len(flat) - 1, 1), step)
+    for k, stop in zip(starts, [*starts[1:], len(flat)]):
+        out[k:stop] = reduce(flat[k:stop] @ pts.T, axis=1)
+    return out.reshape(x.shape[:-1])
 
 
 def antipode_gap(verts):

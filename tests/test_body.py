@@ -397,6 +397,16 @@ def _l4_table():
     return RadialField.from_function(lambda u: 1.0 / np.sum(u**4, axis=-1) ** 0.25, 32, 64)
 
 
+def _tables():
+    """32x64 tables: the l4 ball, the unit ball (whose boundary map meets
+    many ties), three random linear images of lp balls and a 4:1:1 body."""
+    rng = np.random.default_rng(49)
+    tables = [_l4_table(), RadialField(np.ones((33, 64)))]
+    tables += [RadialField.from_function(random_smooth_body(rng).radial_many, 32, 64) for _ in range(3)]
+    tables.append(RadialField.from_function(LpBall(3.0, (4.0, 1.0, 1.0)).radial_many, 32, 64))
+    return tables
+
+
 class TestRadialContactMap:
     def test_matches_nine_pass_stencil(self, fine_grid):
         rng = np.random.default_rng(47)
@@ -427,6 +437,52 @@ class TestRadialContactMap:
         K.lambda_many(pts)
         assert calls == [33 * 64, len(pts), len(pts)]
 
+    def test_one_table_support_per_body(self, monkeypatch):
+        # h_K at the table directions is computed once, where first read:
+        # two boundary maps and the polar all read it
+        sizes = []
+        support = RadialField.support_many
+
+        def counted(self, us):
+            sizes.append(len(np.reshape(us, (-1, 3))))
+            return support(self, us)
+
+        K = _l4_table()
+        us = make_grid(16, 32).units
+        pts = us * K.radial_many(us)[:, None]
+        monkeypatch.setattr(RadialField, "support_many", counted)
+        K.lambda_many(pts)
+        K.lambda_many(pts[:100])
+        polar(K)
+        assert sizes.count(33 * 64) == 1
+
+    def test_polar_is_full_pass_table(self):
+        # the polar table 1 / h_K is that of the full max-dot pass, bit for bit
+        for K in _tables():
+            units = body_module._table_units(K.n_alpha, K.n_beta)
+            raw = 1.0 / oracles.brute_max_dot(units, (K.values[..., None] * units).reshape(-1, 3))
+            assert polar(K).values.tobytes() == RadialField(raw).values.tobytes()
+
+    @pytest.mark.parametrize("reduce", [np.max, np.argmax])
+    def test_max_dot_matches_full_pass(self, fine_grid, reduce):
+        # the binned, pruned kernel against every column in row blocks: the
+        # boundary points and table directions of the tables and their polars
+        # as columns, single and batched queries as rows
+        rng = np.random.default_rng(50)
+        us = fine_grid.units
+        tables = _tables()
+        for K in tables + [polar(K) for K in tables]:
+            units = body_module._table_units(K.n_alpha, K.n_beta).reshape(-1, 3)
+            queries = [rng.standard_normal(shape) for shape in ((3,), (0, 3), (1, 3), (2, 7, 3), (513, 3))]
+            queries += [us, us * K.radial_many(us)[:, None]]
+            for pts in (K._bpts, units / K._table_support()[:, None]):
+                for x in queries:
+                    got = body_module._max_dot(x, pts, reduce)
+                    want = oracles.brute_max_dot(x, pts, reduce)
+                    assert got.shape == want.shape == x.shape[:-1]
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_max_dot_chunk_width(self, monkeypatch, rows):
         # 999 rows split unevenly: 2 rows a block when one is asked for (the
@@ -450,6 +506,16 @@ class TestApplyLinear:
         L = apply_linear(K, LinearMap3.identity())
         us = unit_dirs(rng, 30)
         assert np.allclose(L.radial_many(us), K.radial_many(us), rtol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e5])
+    def test_scaled_identity(self, grid, scale):
+        # the singularity test is relative to the row lengths, so a scaled
+        # identity is as regular as the identity
+        A = LinearMap3(scale * np.eye(3))
+        assert A.det == pytest.approx(scale**3, rel=1e-12)
+        from mahlerlab.quadrature import volume
+
+        assert volume(apply_linear(cube(), A), grid) == pytest.approx(8.0 * scale**3, rel=1e-12)
 
     def test_cube_stretch(self, grid):
         from mahlerlab.quadrature import volume

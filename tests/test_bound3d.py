@@ -16,6 +16,7 @@ from mahlerlab.body import (
     ConvexBody3,
     LinearMap3,
     LpBall,
+    RadialField,
     SymmetricPolytope,
     ball,
     cross_polytope,
@@ -293,6 +294,14 @@ class TestVerifyChain:
         assert len(passes) == 2
         assert passes[0] is K
         assert quadrature.volume(passes[1], grid) == rep.polar_volume == quadrature.volume(polar(K), grid)
+
+
+    def test_radial_table_chain(self, fine_grid):
+        # the l4 ball tabulated at 32x64, at the command line's default grid
+        K = RadialField.from_function(lambda u: 1.0 / np.sum(u**4, axis=-1) ** 0.25, 32, 64)
+        rep = verify_chain(K, fine_grid)
+        assert rep.applicable and rep.chain_ok
+        assert rep.product >= LOWER_BOUND
 
 
 class TestCone:

@@ -72,11 +72,16 @@ class TestExitCodes:
         )
         assert cli.run(["vp", "--body", p]) == cli.EXIT_INVALID
 
-    def test_bad_grid(self, tmp_path):
-        p = cube_file(tmp_path)
-        # malformed, then well formed but outside what make_grid supports
-        for size in ("tiny", "7x16", "8x18"):
-            assert cli.run(["vp", "--body", p, "--grid", size]) == cli.EXIT_PARSE
+    def test_bad_grid(self, tmp_path, monkeypatch):
+        bodies = {"vp": cube_file(tmp_path), "polar": cube_file(tmp_path), "verify2": square_file(tmp_path)}
+        read = []
+        monkeypatch.setattr(cli, "parse_body_file", read.append)
+        # malformed, then well formed but outside what make_grid supports,
+        # refused before the body file is read, also where no table is read
+        for command, p in bodies.items():
+            for size in ("tiny", "7x16", "8x18"):
+                assert cli.run([command, "--body", p, "--grid", size]) == cli.EXIT_PARSE
+        assert read == []
 
     def test_unwritable_output(self, tmp_path):
         p = cube_file(tmp_path)
@@ -143,6 +148,29 @@ class TestExitCodes:
         out = tmp_path / "vp.json"
         assert cli.run(["vp", "--body", p, "--out", str(out)]) == cli.EXIT_OK
         assert json.loads(out.read_text())["product"] == pytest.approx(8.0, rel=1e-15)
+
+
+class TestGridTables:
+    def test_gauss_legendre_solves(self, tmp_path, monkeypatch):
+        # a polytope, a polar and a polygon read no table of the grid; a
+        # smooth vp solves one rule where n_alpha / 2 == n_beta / 4, else two
+        solves = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            solves.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        p, lp = cube_file(tmp_path), write_body(tmp_path / "lp.json", {"type": "lp", "p": 3.0})
+        for argv in (["vp", "--body", p], ["polar", "--body", p], ["verify", "--body", p],
+                     ["polar", "--body", lp], ["verify2", "--body", square_file(tmp_path)]):
+            assert cli.run(argv) == cli.EXIT_OK
+        assert solves == []
+        assert cli.run(["vp", "--body", lp]) == cli.EXIT_OK
+        assert solves == [64]
+        assert cli.run(["vp", "--body", lp, "--grid", "64x256"]) == cli.EXIT_OK
+        assert solves == [64, 32, 64]
 
 
 class TestVp:
