@@ -8,9 +8,9 @@ Usage:
 `dump` imports mahlerlab from TREE/src, so two checkouts (say a parent
 commit exported with `git archive` and the working tree) are compared from
 one place, each dumped in its own process.  Set OPENBLAS_NUM_THREADS=1 for
-both.  It records, on nine polytopes (the cube, the cross-polytope, a cube
-under a map with det -1, three perturbed cubes and three random polytopes
-from default_rng(1001)), on two lp bodies (an lp ball in normalized
+both.  It records, on ten polytopes (the cube, the cross-polytope, a cube
+under a map with det -1, three perturbed cubes and four random polytopes of
+6, 9, 12 and 16 vertex pairs from default_rng(1001)), on two lp bodies (an lp ball in normalized
 position, where the search takes its quick exit, and a linear image of an
 lp ball drawn from default_rng(1001)), on three 32x64 radial tables (the l4
 ball and the unit ball, tabulated as the benchmark's `cli_screen` tabulates
@@ -69,7 +69,7 @@ def corpus(body):
     for k in range(3):
         A = np.eye(3) + 0.15 * rng.standard_normal((3, 3))
         out[f"pcube{k}"] = body.cube().transformed(body.LinearMap3(A))
-    for k, pairs in enumerate((6, 9, 12)):
+    for k, pairs in enumerate((6, 9, 12, 16)):
         pts = rng.standard_normal((pairs, 3))
         out[f"random{k}"] = body.SymmetricPolytope(np.vstack([pts, -pts]))
     return out

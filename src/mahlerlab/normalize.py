@@ -79,12 +79,17 @@ class NormalizationResult:
     its own shear, and its (F, G, H)."""
 
     angles: tuple  # (theta, phi, psi)
-    shear: LinearMap3
     residual23: np.ndarray  # 4 signed residuals of the target condition
     fgh_norm: float  # max |fgh|
     fgh: np.ndarray  # (F, G, H)
     balance: BalanceAngles  # of the rotated body, before its shear
     base: ConvexBody3  # K
+
+    @functools.cached_property
+    def shear(self) -> LinearMap3:
+        """The unit shear of the rotated body, built when first read, as
+        normalized_body is."""
+        return shear_matrix(self.balance)
 
     @functools.cached_property
     def normalized_body(self) -> ConvexBody3:
@@ -192,10 +197,13 @@ def _theta_polytopes(tris: np.ndarray):
     z = 0), from which _balance_polytopes takes the half-sections of Phi and
     Psi."""
     target = 0.25 * (np.sum(_cone6(tris), axis=-1) / 6.0)  # a quarter of volume(K)
-    upper, _, zseg = _split(tris, np.array([0.0, 0.0, 1.0]))
+    upper, zseg, _ = _split(tris, np.array([0.0, 0.0, 1.0]))
     cone = _cone6(upper)
 
     def wedge(rows, b):
+        # a round in which every row is still active passes the whole stack
+        if len(rows) == len(tris):
+            return _theta_wedge(upper, cone, b)
         return _theta_wedge(upper[rows], cone[rows], b)
 
     start, lo, hi = (np.full(len(tris), b) for b in (0.5 * PI, 1e-5, PI - 1e-5))
@@ -327,12 +335,19 @@ def balance_residuals(K: ConvexBody3, ang: BalanceAngles):
     )
 
 
-def shear_matrix(ang: BalanceAngles) -> LinearMap3:
-    """Inverse of [[1, 1/tanPhi, 1/(sinTheta tanPsi)], [0,1,1/tanTheta], [0,0,1]]."""
+def _shear_rows(ang: BalanceAngles) -> list:
+    """The rows of the inverse of [[1, 1/tanPhi, 1/(sinTheta tanPsi)],
+    [0,1,1/tanTheta], [0,0,1]]: the one shear formula, which shear_matrix
+    and the stacked polytope pass both read."""
     a = 1.0 / math.tan(ang.phi_cap)
     c = 1.0 / math.tan(ang.theta_cap)
     b = 1.0 / (math.sin(ang.theta_cap) * math.tan(ang.psi_cap))
-    return LinearMap3([[1.0, -a, a * c - b], [0.0, 1.0, -c], [0.0, 0.0, 1.0]])
+    return [[1.0, -a, a * c - b], [0.0, 1.0, -c], [0.0, 0.0, 1.0]]
+
+
+def shear_matrix(ang: BalanceAngles) -> LinearMap3:
+    """Inverse of [[1, 1/tanPhi, 1/(sinTheta tanPsi)], [0,1,1/tanTheta], [0,0,1]]."""
+    return LinearMap3(_shear_rows(ang))
 
 
 def shear(K: ConvexBody3, grid: SphereGrid) -> LinearMap3:
@@ -349,19 +364,27 @@ def rotate(K: ConvexBody3, theta: float, phi: float, psi: float) -> ConvexBody3:
     return K.transformed(LinearMap3(_rotation_matrix(theta, phi, psi)))
 
 
-def _triangle_rows(K: SymmetricPolytope, mats) -> np.ndarray:
+# stacked triangles per polytope pass: 16 points of a 64-triangle body, which
+# keeps the arrays of a pass near 2 MB
+_TRIANGLES = 1024
+
+
+def _triangle_stacks(K: SymmetricPolytope, mats):
     """The (B, T, 3, 3) boundary triangles of R K for each matrix R of mats,
-    bit for bit those of K.transformed(R): the image's vertices are
+    in stacks of at most _TRIANGLES triangles (one row at least), bit for
+    bit those of K.transformed(R): the image's vertices are
     K.vertices @ R.T, and the image sorts them but keeps each triangle's
     corners and order."""
-    return np.stack([(K.vertices @ m.T)[K.triangles] for m in mats])
+    n = max(1, _TRIANGLES // len(K.triangles))
+    for k in range(0, len(mats), n):
+        yield np.stack([(K.vertices @ m.T)[K.triangles] for m in mats[k : k + n]])
 
 
 def _thetas(K: ConvexBody3, mats, grid: SphereGrid) -> list:
-    """Theta of R K for each rotation matrix R of mats: one stacked Newton
-    pass for a polytope, one body at a time otherwise."""
+    """Theta of R K for each rotation matrix R of mats: stacked Newton
+    passes for a polytope, one body at a time otherwise."""
     if isinstance(K, SymmetricPolytope):
-        return [float(t) for t in _theta_polytopes(_triangle_rows(K, mats))[0]]
+        return [float(t) for tris in _triangle_stacks(K, mats) for t in _theta_polytopes(tris)[0]]
     return [_theta_only(K.transformed(LinearMap3(m)), grid) for m in mats]
 
 
@@ -370,40 +393,37 @@ def _thetas(K: ConvexBody3, mats, grid: SphereGrid) -> list:
 
 
 def _field_rows(K: ConvexBody3, mats, grid: SphereGrid) -> list:
-    """(F,G,H), the balance angles, the shear and the target residuals r23
-    of R K under its own shear for each rotation matrix R of mats.  Of the
-    quarter areas only the plane-1 pair is computed: it gives F and r23[3].
+    """(F,G,H), the balance angles and the target residuals r23 of R K under
+    its own shear for each rotation matrix R of mats.  Of the quarter areas
+    only the plane-1 pair is computed: it gives F and r23[3].
 
-    A polytope's rows are one stacked cut pass.  The shear fixes z, so the
-    octants 0-3 and the plane-1 quarters, which all lie in z >= 0, come from
-    the sheared triangles' upper half: its cut by x = 0 gives the octant
-    pieces and the section, whose quarters are its sides y >= 0 and y <= 0.
-    Every step is elementwise over the rows or reduces within one, so a
-    row's values are bit for bit those of its polytope alone.  Other bodies
-    are evaluated one at a time."""
+    A polytope's rows are stacked cut passes of at most _TRIANGLES
+    triangles.  The shear fixes z, so the octants 0-3 and the plane-1
+    quarters, which all lie in z >= 0, come from the sheared triangles'
+    upper half: its cut by x = 0 gives the octant pieces and the section,
+    whose quarters are its sides y >= 0 and y <= 0.  Every step is
+    elementwise over the rows or reduces within one, so a row's values are
+    bit for bit those of its polytope alone.  Other bodies are evaluated one
+    at a time."""
     if isinstance(K, SymmetricPolytope):
-        tris = _triangle_rows(K, mats)
-        angs = balance_angles(tris, grid)
-        shears = [shear_matrix(a) for a in angs]
-        A = np.array([S.matrix for S in shears])[:, None, None]
-        sheared = tris[..., :1] * A[..., 0] + tris[..., 1:2] * A[..., 1] + tris[..., 2:] * A[..., 2]
-        ov, xseg = _upper_octants(sheared)
-        uv = xseg[..., 1:]  # plane 1 in its frame (u, v) = (y, z)
-        qa = np.stack([_fan_area(_clip_segments(uv, m)) for m in ((1.0, 0.0), (-1.0, 0.0))])
-        return list(zip(_fgh(ov.T, qa).T.copy(), angs, shears, _r23(ov.T, qa).T.copy()))
+        out = []
+        for tris in _triangle_stacks(K, mats):
+            angs = balance_angles(tris, grid)
+            A = np.array([_shear_rows(a) for a in angs])[:, None, None]
+            sheared = tris[..., :1] * A[..., 0] + tris[..., 1:2] * A[..., 1] + tris[..., 2:] * A[..., 2]
+            ov, xseg = _upper_octants(sheared)
+            uv = xseg[..., 1:]  # plane 1 in its frame (u, v) = (y, z)
+            qa = np.stack([_fan_area(_clip_segments(uv, m)) for m in ((1.0, 0.0), (-1.0, 0.0))])
+            out += zip(_fgh(ov.T, qa).T.copy(), angs, _r23(ov.T, qa).T.copy())
+        return out
     out = []
     for m in mats:
         L = K.transformed(LinearMap3(m))
         ang = balance_angles(L, grid)
-        A = shear_matrix(ang)
-        M = L.transformed(A)
+        M = L.transformed(shear_matrix(ang))
         ov, qa = octant_volumes(M, grid), _plane_quarters(M, 1)
-        out.append((_fgh(ov, qa), ang, A, _r23(ov, qa)))
+        out.append((_fgh(ov, qa), ang, _r23(ov, qa)))
     return out
-
-
-# box points per stacked polytope pass: it keeps the arrays of a pass near 2 MB
-_BATCH = 16
 
 
 class _BoxField:
@@ -417,8 +437,9 @@ class _BoxField:
     of one.  Each box point is evaluated once and Theta(0, phi, psi) solved
     once per exact (phi, psi) pair over the life of the field; at s = +-0,
     theta is s itself and Theta(0, phi, psi) is not solved.  The new points
-    of a call are evaluated in stacked passes of at most _BATCH points, and
-    a point's record does not depend on the batch it came in."""
+    of a call go to _thetas and _field_rows together, which run a polytope's
+    points in stacked passes of at most _TRIANGLES triangles, and a point's
+    record does not depend on the batch or the pass it came in."""
 
     def __init__(self, K: ConvexBody3, grid: SphereGrid):
         self.K, self.grid = K, grid
@@ -431,17 +452,15 @@ class _BoxField:
     def many(self, points) -> list:
         points = [tuple(p) for p in points]
         new = [p for p in dict.fromkeys(points) if p not in self.records]
-        for k in range(0, len(new), _BATCH):
-            chunk = new[k : k + _BATCH]
-            pairs = dict.fromkeys((phi, psi) for s, phi, psi in chunk if s != 0)
-            pairs = [p for p in pairs if p not in self.theta0]
-            if pairs:
-                mats = [_rotation_matrix(0.0, *p) for p in pairs]
-                self.theta0.update(zip(pairs, _thetas(self.K, mats, self.grid)))
-            angles = [(s if s == 0 else (PI - self.theta0[phi, psi]) * s, phi, psi) for s, phi, psi in chunk]
-            rows = _field_rows(self.K, [_rotation_matrix(*a) for a in angles], self.grid)
-            for p, a, (v, ang, A, r23) in zip(chunk, angles, rows):
-                self.records[p] = NormalizationResult(a, A, r23, float(np.max(np.abs(v))), v, ang, self.K)
+        pairs = dict.fromkeys((phi, psi) for s, phi, psi in new if s != 0)
+        pairs = [p for p in pairs if p not in self.theta0]
+        if pairs:
+            mats = [_rotation_matrix(0.0, *p) for p in pairs]
+            self.theta0.update(zip(pairs, _thetas(self.K, mats, self.grid)))
+        angles = [(s if s == 0 else (PI - self.theta0[phi, psi]) * s, phi, psi) for s, phi, psi in new]
+        rows = _field_rows(self.K, [_rotation_matrix(*a) for a in angles], self.grid)
+        for p, a, (v, ang, r23) in zip(new, angles, rows):
+            self.records[p] = NormalizationResult(a, r23, float(np.max(np.abs(v))), v, ang, self.K)
         return [self.records[p] for p in points]
 
 
@@ -588,7 +607,10 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
     split depends on its two endpoints alone, so the samples and the total
     are those of refining each pair depth first.  A (G, H) below 1e-9 |K|
     raises NotGeneric at the first such point, in contour order, of the
-    earliest batch that has one."""
+    earliest batch that has one.  Each of the four legs of the contour
+    needs a base sample, so n_samples below 4 raises BadParameter."""
+    if n_samples < 4:
+        raise BadParameter(f"winding needs at least 4 contour samples, got {n_samples}")
     volK = volume(K, grid)
     field = _BoxField(K, grid)
 

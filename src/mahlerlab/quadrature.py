@@ -187,7 +187,8 @@ def _crossing(tris: np.ndarray, n: np.ndarray):
     d = tris[..., 0] * n[..., 0] + tris[..., 1] * n[..., 1] + tris[..., 2] * n[..., 2]
     pos = d > 0
     code = 4 * pos[..., 0] + 2 * pos[..., 1] + pos[..., 2]
-    turn = _LONE_FIRST[code].reshape(-1, 3) + 3 * np.arange(code.size)[:, None]
+    turn = _LONE_FIRST[code].reshape(-1, 3)
+    turn += 3 * np.arange(code.size)[:, None]
     dr = np.take(d, turn).reshape(d.shape)
     cross = _CROSSES[code]
     # the lone vertex is strictly on its side and the others are not, so
@@ -235,7 +236,8 @@ def _cut(tris: np.ndarray, n: np.ndarray):
 def _split(tris: np.ndarray, n: np.ndarray):
     """Cut a stack of triangles by planes n.x = 0 (as in _crossing) into
     oriented pieces.  Returns the (..., 2T, 3, 3) pieces on the side n.x > 0,
-    those on the side n.x <= 0, and the (..., T, 2, 3) cut segments.
+    the (..., T, 2, 3) cut segments, and a function that builds the pieces
+    on the side n.x <= 0 when called: most cuts read one side only.
 
     The cut points are p on ab and q on ac; the pieces are (a, p, q),
     (p, b, c) and (c, q, p), each with the orientation of its triangle.  A
@@ -246,12 +248,17 @@ def _split(tris: np.ndarray, n: np.ndarray):
     r, pq = _cut_points(tris, turn, cross, w)
     pieces = np.take(np.concatenate([r, pq], axis=-2), _PIECES, axis=-2)
     p0, p1, p2 = (pieces[..., 3 * k : 3 * k + 3, :] for k in range(3))
-    sides = []
-    for lone_here in (lone_pos, ~lone_pos):
-        first = np.where(lone_here[..., None, None], p0, np.where(cross[..., None, None], p1, 0.0))
-        second = np.where((cross & ~lone_here)[..., None, None], p2, 0.0)
-        sides.append(np.concatenate([first, second], axis=-3))
-    return sides[0], sides[1], _segments(pq, lone_pos, cross)
+
+    def side(lone_here):
+        # the two slots filled in place, without a temporary per slot
+        out = np.zeros(p0.shape[:-3] + (2 * p0.shape[-3], 3, 3))
+        first, second = np.split(out, 2, axis=-3)
+        np.copyto(first, p1, where=cross[..., None, None])
+        np.copyto(first, p0, where=lone_here[..., None, None])
+        np.copyto(second, p2, where=(cross & ~lone_here)[..., None, None])
+        return out
+
+    return side(lone_pos), _segments(pq, lone_pos, cross), lambda: side(~lone_pos)
 
 
 _AXES = np.eye(3)
@@ -264,8 +271,10 @@ def _upper_octants(tris: np.ndarray):
 
     The triangles are cut into pieces by z = 0 and then x = 0; the last cut,
     by y = 0, is taken as cone fractions."""
-    upper = _split(tris, _AXES[2])[0]
-    right, left, xseg = _split(upper, _AXES[0])
+    # neither the upper half nor the builder of the side x <= 0, which holds
+    # all pieces of the x cut, outlives the cut that reads it
+    right, xseg, left = _split(_split(tris, _AXES[2])[0], _AXES[0])
+    left = left()
     vols = []
     for pieces in (right, left):
         _, lone_pos, _, w = _crossing(pieces, _AXES[1])

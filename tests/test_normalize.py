@@ -401,8 +401,8 @@ class TestFGH:
 
         th0 = _thetas(K, [_rotation_matrix(0.0, point.phi, point.psi)], grid)[0]
         angles = ((PI - th0) * point.s, point.phi, point.psi)
-        v, ang, A, _ = _field_rows(K, [_rotation_matrix(*angles)], grid)[0]
-        M = rotate(K, *angles).transformed(A)
+        v, ang, _ = _field_rows(K, [_rotation_matrix(*angles)], grid)[0]
+        M = rotate(K, *angles).transformed(shear_matrix(ang))
         mc = oracles.mc_octant_volumes(M, n=4_000_000, seed=77)
         G = mc[0] + mc[2] - mc[1] - mc[3]
         H = mc[0] + mc[3] - mc[1] - mc[2]
@@ -551,6 +551,15 @@ class TestWinding:
         dang = np.diff(tr.samples[:, 3])
         assert np.max(np.abs(dang)) < 0.5 * PI
 
+    @pytest.mark.parametrize("n_samples", [1, 0, -1])
+    def test_too_few_samples_is_bad_parameter(self, n_samples):
+        # with fewer than 4 base samples a leg of the contour holds none: one
+        # sample puts both ends of the contour on the same point, and the
+        # winding came out 0 where it is odd
+        K = perturbed_cube(np.random.default_rng(84))
+        with pytest.raises(errors.BadParameter, match="at least 4"):
+            winding(K, n_samples, make_grid(32, 64))
+
     def test_unconditional_not_generic(self, grid):
         where = r"at t = 0\.0, \(phi, psi\) = \(0\.0, 0\.0\), a base sample"
         with pytest.raises(errors.NotGeneric, match=where):
@@ -622,20 +631,72 @@ class TestWinding:
         assert len(calls) == len(tr.samples) - 1
         assert len(set(calls)) == len(calls)
 
+    def test_base_samples_one_pass(self, monkeypatch):
+        # a 12-triangle cube takes 1024 // 12 = 85 points per stacked pass,
+        # so the 64 distinct base samples are one pass of _field_rows, and
+        # each refinement round one more
+        batches, passes = [], []
+        field_rows, balance = normalize._field_rows, normalize.balance_angles
+
+        def counted_rows(K, mats, grid):
+            batches.append(len(mats))
+            return field_rows(K, mats, grid)
+
+        def counted_passes(K, grid):
+            passes.append(len(K))
+            return balance(K, grid)
+
+        monkeypatch.setattr(normalize, "_field_rows", counted_rows)
+        monkeypatch.setattr(normalize, "balance_angles", counted_passes)
+        winding(perturbed_cube(np.random.default_rng(84)), 64, make_grid(32, 64))
+        assert passes == batches and passes[0] == 64
+
+    def test_no_shear_map_per_point(self, monkeypatch):
+        # a record builds its LinearMap3 shear only when read, and the
+        # stacked pass shears its triangles from the same formula's entries
+        K = perturbed_cube(np.random.default_rng(84))
+        built = []
+        init = LinearMap3.__init__
+
+        def counted(self, matrix):
+            built.append(matrix)
+            init(self, matrix)
+
+        monkeypatch.setattr(LinearMap3, "__init__", counted)
+        winding(K, 64, make_grid(32, 64))
+        assert built == []
+
 
 class TestBatchedField:
-    @pytest.mark.parametrize("batch", [normalize._BATCH, 64])
+    @pytest.mark.parametrize("name", ["cube84", "smooth"])
+    def test_record_shear_is_shear_matrix(self, name):
+        K, grid = WINDING_BODIES[name](), make_grid(32, 64)
+        for rec in normalize._BoxField(K, grid).many([(0.0, 1.0, 2.0), (0.4, 1.0, 2.0), (1.0, 2.5, 0.3)]):
+            assert rec.shear is rec.shear
+            assert rec.shear.matrix.tobytes() == shear_matrix(rec.balance).matrix.tobytes()
+
+    @pytest.mark.parametrize("batch", [16, 64, 1])
     @pytest.mark.parametrize("name", ["cube84", "random1"])
     def test_record_independent_of_batch(self, name, batch, monkeypatch):
         # a polytope point's record is bit for bit the same evaluated alone
-        # and inside a batch of 64, whether that runs as one stacked pass or
-        # in chunks
-        monkeypatch.setattr(normalize, "_BATCH", batch)
+        # and inside a batch of 64, whether that runs as one stacked pass, in
+        # passes of 16 points or one point at a time
         K, grid = WINDING_BODIES[name](), make_grid(32, 64)
+        monkeypatch.setattr(normalize, "_TRIANGLES", batch * len(K.triangles))
+        passes = []
+        balance = normalize.balance_angles
+
+        def counted(K, grid):
+            passes.append(len(K))
+            return balance(K, grid)
+
+        monkeypatch.setattr(normalize, "balance_angles", counted)
         rng = np.random.default_rng(90)
         points = [(0.0, *map(float, rng.uniform(0.0, PI, 2))) for _ in range(32)]
         points += [tuple(map(float, rng.uniform(0.0, 1.0) * np.array([1.0, PI, PI]))) for _ in range(32)]
-        for x, rec in zip(points, normalize._BoxField(K, grid).many(points)):
+        records = normalize._BoxField(K, grid).many(points)
+        assert max(passes) == batch and sum(passes) == 64
+        for x, rec in zip(points, records):
             alone = normalize._BoxField(K, grid)(*x)
             assert alone.angles == rec.angles
             assert alone.balance == rec.balance
@@ -644,21 +705,33 @@ class TestBatchedField:
             assert alone.residual23.tobytes() == rec.residual23.tobytes()
 
     def test_scan_memory_bounded(self):
-        # the stacked passes run in chunks of _BATCH points, so the 9^3 scan
-        # keeps its peak traced memory within twice that of one point at a
-        # time.  Measured with numpy 2.4 on x86-64: 2,246,124 bytes one point
-        # at a time, 1,651,566 batched (records no longer hold their sheared
-        # bodies, which leaves room for the chunk's arrays).
+        # the stacked passes hold at most _TRIANGLES triangles, so the 9^3
+        # scan keeps its peak traced memory within twice that of one point at
+        # a time.  Measured with numpy 2.4 on x86-64: 2,246,124 bytes one
+        # point at a time when records held their sheared bodies; 1,149,559
+        # one point at a time and 1,576,750 in chunks of 16 points when they
+        # held a LinearMap3 shear each; 2,232,885 in this 20-triangle body's
+        # passes of 51 points.
         K = random_symmetric_polytope(np.random.default_rng(3), 16)
+        assert self._scan_peak(K) <= 2 * 2_246_124
+
+    def test_cube_scan_memory_bounded(self):
+        # a 12-triangle cube's passes grew from 16 to 85 points under the
+        # triangle budget.  Measured with numpy 2.4 on x86-64: 1,261,886
+        # bytes one point at a time when records held a LinearMap3 shear
+        # each, 1,422,681 in chunks of 16 points; 2,345,526 in passes of 85.
+        assert self._scan_peak(cube()) <= 2 * 1_261_886
+
+    @staticmethod
+    def _scan_peak(K):
         field = normalize._BoxField(K, make_grid(32, 64))
         field(0.0, 0.0, 0.0)
         tracemalloc.start()
         try:
             normalize._scan_candidates(field)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2_246_124
 
 
 class TestFindNormalization:
