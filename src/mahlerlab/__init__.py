@@ -4,15 +4,12 @@ __version__ = "0.1.0"
 
 from .body import (
     ConvexBody3,
-    Direction,
     Ellipsoid,
     LinearMap3,
     LpBall,
     RadialField,
     SymmetricPolytope,
     TransformedBody,
-    apply_linear,
-    ball,
     boundary_map,
     cross_polytope,
     cube,
@@ -29,16 +26,13 @@ from .quadrature import (
     polar_piece_volumes,
     projection_areas,
     quarter_areas,
-    santalo_point,
     section_areas,
-    section_polygon,
     volume,
     volume_product,
 )
 
 __all__ = [
     "ConvexBody3",
-    "Direction",
     "Ellipsoid",
     "LinearMap3",
     "LpBall",
@@ -46,8 +40,6 @@ __all__ = [
     "SphereGrid",
     "SymmetricPolytope",
     "TransformedBody",
-    "apply_linear",
-    "ball",
     "boundary_map",
     "cross_polytope",
     "cube",
@@ -59,9 +51,7 @@ __all__ = [
     "polar_piece_volumes",
     "projection_areas",
     "quarter_areas",
-    "santalo_point",
     "section_areas",
-    "section_polygon",
     "sphere_point",
     "support",
     "volume",

@@ -13,7 +13,6 @@ immutable after construction, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -32,22 +31,9 @@ from .errors import (
 _ZERO_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Spherical direction; embeds as (cos a, sin a cos b, sin a sin b)."""
-
-    alpha: float
-    beta: float
-
-    def unit(self) -> np.ndarray:
-        sa = math.sin(self.alpha)
-        return np.array(
-            [math.cos(self.alpha), sa * math.cos(self.beta), sa * math.sin(self.beta)]
-        )
-
-
 def sphere_point(alpha, beta):
-    """Vectorized version of Direction.unit for array arguments."""
+    """The unit vectors (cos a, sin a cos b, sin a sin b) of array arguments
+    alpha, beta, broadcast together, on a trailing axis of length 3."""
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     sa = np.sin(alpha)
@@ -82,22 +68,6 @@ class LinearMap3:
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("LinearMap3 is immutable")
-
-    @staticmethod
-    def identity():
-        return LinearMap3(np.eye(3))
-
-    @staticmethod
-    def rotation_x(t):
-        return LinearMap3(_rotation(0, t))
-
-    @staticmethod
-    def rotation_y(t):
-        return LinearMap3(_rotation(1, t))
-
-    @staticmethod
-    def rotation_z(t):
-        return LinearMap3(_rotation(2, t))
 
     def compose(self, other: "LinearMap3") -> "LinearMap3":
         """self after other (matrix product self.matrix @ other.matrix)."""
@@ -366,10 +336,6 @@ class Ellipsoid(ConvexBody3):
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "Minv", np.linalg.inv(M))
 
-    @staticmethod
-    def from_axes(a, b, c):
-        return Ellipsoid(np.diag([1.0 / a**2, 1.0 / b**2, 1.0 / c**2]))
-
     def gauge_many(self, pts):
         pts = np.asarray(pts, dtype=float)
         return np.sqrt(np.einsum("...i,ij,...j->...", pts, self.M, pts))
@@ -538,11 +504,6 @@ class RadialField(ConvexBody3):
         object.__setattr__(self, "n_alpha", na)
         object.__setattr__(self, "n_beta", nb)
         object.__setattr__(self, "_bpts", (vals[..., None] * units).reshape(-1, 3))
-
-    @staticmethod
-    def from_function(rho, n_alpha=128, n_beta=256):
-        """Sample rho(units array) -> radii on the uniform grid."""
-        return RadialField(rho(_table_units(n_alpha, n_beta)))
 
     def _interp(self, alpha, beta):
         na, nb = self.n_alpha, self.n_beta
@@ -726,10 +687,6 @@ def boundary_map(K: ConvexBody3, x):
     return K.lambda_many(x[None, :])[0]
 
 
-def apply_linear(K: ConvexBody3, A) -> ConvexBody3:
-    return K.transformed(_as_map(A))
-
-
 # convenient stock bodies used throughout the test-suite and scripts
 def cube() -> SymmetricPolytope:
     signs = np.array(
@@ -742,7 +699,3 @@ def cube() -> SymmetricPolytope:
 def cross_polytope() -> SymmetricPolytope:
     v = np.vstack([np.eye(3), -np.eye(3)])
     return SymmetricPolytope(v)
-
-
-def ball() -> LpBall:
-    return LpBall(2.0, (1.0, 1.0, 1.0))

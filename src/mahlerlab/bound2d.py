@@ -1,6 +1,6 @@
 """Planar volume-product machinery: the sharp bound P(K) >= 8 for symmetric
 convex polygons, with polar duals, the four-piece decomposition, balance
-rotation, test points, and the equality family of tilted squares."""
+rotation and test points."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, DegenerateBody, NotNormalized, NotSymmetric
-from .planar import _clip_segments, _edges, _fan_area, brent_root, dual_vertex2, dual_vertices2, shoelace
+from .errors import DegenerateBody, NotNormalized, NotSymmetric
+from .planar import _clip_segments, _edges, _fan_area, brent_root, dual_vertices2, shoelace
 
 __all__ = [
     "Polygon2",
@@ -18,8 +18,6 @@ __all__ = [
     "polar2",
     "normalize2",
     "verify2",
-    "equality_family",
-    "dual_vertex2",
 ]
 
 
@@ -55,7 +53,7 @@ class Polygon2:
         n = len(v)
         if n % 2:
             raise NotSymmetric("odd vertex count cannot be centrally symmetric")
-        if not np.allclose(u, -np.roll(u, n // 2, axis=0), atol=1e-9):
+        if not np.allclose(u, -np.roll(u, n // 2, axis=0), rtol=0.0, atol=1e-9):
             raise NotSymmetric("vertex list is not closed under negation")
         start = int(np.lexsort((v[:, 1], v[:, 0]))[0])
         object.__setattr__(self, "vertices", np.roll(v, -start, axis=0))
@@ -200,22 +198,3 @@ def verify2(P: Polygon2) -> Report2:
         product=product,
         bound_ok=ok,
     )
-
-
-def equality_family(a: float):
-    """The tilted-square pair attaining product 8, parameter a in (-1, 1].
-
-    K has vertices +-(1-a, 1+a)/(1+a^2), +-(-1-a, 1-a)/(1+a^2) and its polar
-    is the square with vertices +-(1, a), +-(-a, 1); the areas are 4/(1+a^2)
-    and 2(1+a^2).
-    """
-    if not (-1.0 < a <= 1.0):
-        raise BadParameter("parameter must lie in (-1, 1]")
-    d = 1.0 + a * a
-    v1 = np.array([1.0 - a, 1.0 + a]) / d
-    v2 = np.array([-1.0 - a, 1.0 - a]) / d
-    K = Polygon2(np.array([v1, v2, -v1, -v2]))
-    w1 = np.array([1.0, a])
-    w2 = np.array([-a, 1.0])
-    Kp = Polygon2(np.array([w1, w2, -w1, -w2]))
-    return K, Kp

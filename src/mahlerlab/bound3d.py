@@ -1,6 +1,6 @@
 """The 3D volume-product chain: boundary curve vectors, the eight test
-points, the pairing inequalities, the sharp estimate P(K) >= 32/3 under the
-balanced-piece condition, cone-volume comparisons, and equality detection."""
+points, the pairing inequalities and the sharp estimate P(K) >= 32/3 under
+the balanced-piece condition."""
 
 from __future__ import annotations
 
@@ -10,16 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import ConvexBody3, SymmetricPolytope, polar
-from .errors import MembershipViolated, SingularFace
+from .errors import MembershipViolated
 from .normalize import _r23
 from .quadrature import (
-    GL64,
     SphereGrid,
     _chain_measures,
-    _polar_pieces,
     _section_segments,
     _section_vertices,
-    octant_volumes,
     projection_areas,
     quarter_areas,
     section_areas,
@@ -28,13 +25,8 @@ from .quadrature import (
 __all__ = [
     "CurveVectors",
     "ChainReport",
-    "ConeCheck",
     "curve_vectors",
-    "test_points",
     "verify_chain",
-    "cone_inequality_check",
-    "dual_vertex3",
-    "detect_equality",
 ]
 
 LOWER_BOUND = 32.0 / 3.0
@@ -145,22 +137,14 @@ _PIECE_CURVES = (
 )
 
 
-def test_points(K: ConvexBody3, grid: SphereGrid):
-    """The four points S_i in K and four points R_i in the polar.
+def _test_points(K, Kp, cv: CurveVectors, piece, piece_p):
+    """The four points S_i in K and the four points R_i in Kp = polar(K).
 
     Each is a signed combination of three curve vectors divided by six
-    times the matching piece volume (the first four octant volumes of K
-    and polar pieces); membership (gauge <= 1 + 1e-6) follows from the
+    times the matching piece volume (the first four octant volumes of K and
+    polar pieces); membership (gauge <= 1 + 1e-6) follows from the
     cone-volume comparison and doubles as a consistency check of the
     quadrature, so a violation raises."""
-    cv = curve_vectors(K)
-    piece = octant_volumes(K, grid)[:4]
-    Kp = polar(K)
-    return _test_points(K, Kp, cv, piece, _polar_pieces(Kp, grid)[:4])
-
-
-def _test_points(K, Kp, cv: CurveVectors, piece, piece_p):
-    """S_i, R_i from the curve vectors and the pieces of K and of Kp = polar(K)."""
 
     def points(suffix, pieces):
         # a piece that vanishes (possible for the polar pieces of a polytope)
@@ -264,135 +248,3 @@ def verify_chain(K: ConvexBody3, grid: SphereGrid) -> ChainReport:
         planar_ok=planar_ok,
         chain_ok=chain_ok,
     )
-
-
-# ---------------------------------------------------------------------------
-# cone-volume comparison
-
-
-_GL8 = np.polynomial.legendre.leggauss(8)
-_PANELS = 64
-
-
-def _gauge_line_integral(K: ConvexBody3, P, Q) -> float:
-    """int_0^1 gauge((1-t)P + tQ)^(-2) dt, composite Gauss-Legendre on 64
-    panels of 8 nodes."""
-    x, w = _GL8
-    edges = np.linspace(0.0, 1.0, _PANELS + 1)
-    centre = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 / _PANELS
-    t = (centre[:, None] + half * x[None, :]).ravel()
-    pts = np.outer(1.0 - t, P) + np.outer(t, Q)
-    g = K.gauge_many(pts)
-    wt = np.tile(w * half, _PANELS)
-    return float(np.sum(wt / g**2))
-
-
-def curve_vector_between(K: ConvexBody3, P, Q) -> np.ndarray:
-    """Curve vector of the oriented boundary segment from P to Q.
-
-    For the radial projection of a chord the integrand factorizes: the
-    vector is cross(P, Q) times the line integral of gauge^(-2)."""
-    return np.cross(P, Q) * _gauge_line_integral(K, P, Q)
-
-
-def cone_volume(K: ConvexBody3, A1, A2, A3) -> float:
-    """Volume of the radial cone over the boundary patch spanned by the
-    directions of A1, A2, A3 (collapsed-square quadrature on the flat
-    triangle; the radial factor reduces to gauge^(-3))."""
-    x, w = GL64
-    xi = 0.5 * (x + 1.0)
-    wi = 0.5 * w
-    a = xi[:, None]
-    b = xi[None, :] * (1.0 - a)
-    jac = (wi[:, None] * wi[None, :]) * (1.0 - a)
-    u = (
-        np.asarray(A1)[None, None, :]
-        + a[:, :, None] * (np.asarray(A2) - np.asarray(A1))[None, None, :]
-        + b[:, :, None] * (np.asarray(A3) - np.asarray(A1))[None, None, :]
-    )
-    g = K.gauge_many(u.reshape(-1, 3)).reshape(u.shape[:2])
-    det = float(np.linalg.det(np.array([A1, A2, A3])))
-    return det / 3.0 * float(np.sum(jac / g**3))
-
-
-@dataclass(frozen=True)
-class ConeCheck:
-    trials: int
-    violations: int
-    worst_margin: float  # min over trials of cone volume - signed cone sum
-
-
-def cone_inequality_check(
-    K: ConvexBody3, trials: int = 1000, seed: int = 0
-) -> ConeCheck:
-    """Signed-volume comparison on random boundary triangles.
-
-    For boundary points A1, A2, A3 with det(A1,A2,A3) > 0 and any P in K,
-    one sixth of P dotted with the sum of the three segment curve vectors
-    (the signed volume of the cone from P over the three chordal fans) is
-    at most the radial cone volume over the patch (up to 1e-6 slack).
-    """
-    rng = np.random.default_rng(seed)
-    violations = 0
-    worst = math.inf
-    done = 0
-    while done < trials:
-        u = rng.standard_normal((3, 3))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        det = float(np.linalg.det(u))
-        if abs(det) < 0.05:
-            continue
-        if det < 0:
-            u[[1, 2]] = u[[2, 1]]
-        A = u / K.gauge_many(u)[:, None]
-        up = rng.standard_normal(3)
-        up /= np.linalg.norm(up)
-        P = rng.random() ** (1.0 / 3.0) / K.gauge(up) * up
-        c = (
-            curve_vector_between(K, A[0], A[1])
-            + curve_vector_between(K, A[1], A[2])
-            + curve_vector_between(K, A[2], A[0])
-        )
-        lhs = float(P @ c) / 6.0
-        vol = cone_volume(K, A[0], A[1], A[2])
-        margin = vol - lhs
-        worst = min(worst, margin)
-        if margin < -1e-6:
-            violations += 1
-        done += 1
-    return ConeCheck(trials=trials, violations=violations, worst_margin=worst)
-
-
-# ---------------------------------------------------------------------------
-# dual faces and equality cases
-
-
-def dual_vertex3(p1, p2, p3) -> np.ndarray:
-    """The point v with v.p1 = v.p2 = v.p3 = 1 (dual vertex of a face)."""
-    M = np.array([p1, p2, p3], dtype=float)
-    scale = max(float(np.abs(M).max()), 1.0)
-    if abs(np.linalg.det(M)) <= 1e-12 * scale**3:
-        raise SingularFace("face points are linearly dependent")
-    v = np.linalg.solve(M, np.ones(3))
-    if np.max(np.abs(M @ v - 1.0)) > 1e-10:
-        raise SingularFace("dual vertex solve is ill-conditioned")
-    return v
-
-
-def _is_parallelepiped(K: ConvexBody3) -> bool:
-    # a symmetric polytope with six facets is three slabs: a parallelepiped
-    return isinstance(K, SymmetricPolytope) and len(K.vertices) == 8 and len(K.facets) == 6
-
-
-def detect_equality(K: ConvexBody3) -> str:
-    """Classify a body as an extremizer shape.
-
-    Returns "parallelepiped" if the body itself is one, "cross_polytope_dual"
-    if its polar is, "neither" otherwise.  Smooth bodies are never
-    extremizers, so non-polytopes report "neither"."""
-    if _is_parallelepiped(K):
-        return "parallelepiped"
-    if isinstance(K, SymmetricPolytope) and _is_parallelepiped(polar(K)):
-        return "cross_polytope_dual"
-    return "neither"

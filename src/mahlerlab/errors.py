@@ -61,10 +61,6 @@ class CollinearPoints(MahlerLabError):
     """Two points are linearly dependent; no dual vertex exists."""
 
 
-class SingularFace(MahlerLabError):
-    """Three points are linearly dependent; no dual vertex exists."""
-
-
 class NotNormalized(MahlerLabError):
     """Polygon does not satisfy the normalization preconditions."""
 

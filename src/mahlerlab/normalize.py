@@ -41,7 +41,6 @@ from .body import ConvexBody3, LinearMap3, SymmetricPolytope, _cone6, _rotation,
 from .errors import BadParameter, NoConvergence, NotGeneric, NoZeroFound
 from .planar import _clip_segments, _fan_area
 from .quadrature import (
-    GL64,
     SphereGrid,
     _cut,
     _plane_quarters,
@@ -307,34 +306,6 @@ def balance_angles(K, grid: SphereGrid):
     return BalanceAngles(theta, float(phi), float(psi))
 
 
-def balance_residuals(K: ConvexBody3, ang: BalanceAngles):
-    """Independent Gauss-Legendre check of the three balance equations.
-
-    Returns (I_theta, I_phi, I_psi): differences of the two sides, each
-    computed with 200-point GL on the split intervals (no FFT involved).
-    """
-    x, w = np.polynomial.legendre.leggauss(200)
-
-    def seg(f, a, b, rule=(x, w)):
-        t = 0.5 * (b - a) * rule[0] + 0.5 * (a + b)
-        return 0.5 * (b - a) * np.sum(rule[1] * f(t))
-
-    def split(f, cut, rule=(x, w)):
-        return seg(f, 0.0, cut, rule) - seg(f, cut, PI, rule)
-
-    def profile(beta, power):
-        return lambda a: K.radial_many(sphere_point(a, np.full_like(a, beta))) ** power
-
-    def J(betas):
-        return np.array([seg(lambda a: profile(b, 3)(a) * np.sin(a), 0.0, PI) for b in betas])
-
-    return (
-        split(J, ang.theta_cap, GL64),
-        split(profile(0.0, 2), ang.phi_cap),
-        split(profile(ang.theta_cap, 2), ang.psi_cap),
-    )
-
-
 def _shear_rows(ang: BalanceAngles) -> list:
     """The rows of the inverse of [[1, 1/tanPhi, 1/(sinTheta tanPsi)],
     [0,1,1/tanTheta], [0,0,1]]: the one shear formula, which shear_matrix
@@ -348,10 +319,6 @@ def _shear_rows(ang: BalanceAngles) -> list:
 def shear_matrix(ang: BalanceAngles) -> LinearMap3:
     """Inverse of [[1, 1/tanPhi, 1/(sinTheta tanPsi)], [0,1,1/tanTheta], [0,0,1]]."""
     return LinearMap3(_shear_rows(ang))
-
-
-def shear(K: ConvexBody3, grid: SphereGrid) -> LinearMap3:
-    return shear_matrix(balance_angles(K, grid))
 
 
 def _rotation_matrix(theta: float, phi: float, psi: float) -> np.ndarray:

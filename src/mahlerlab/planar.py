@@ -71,8 +71,3 @@ def dual_vertices2(p, q) -> np.ndarray:
     if np.any(np.abs(det) <= 1e-14 * scale):
         raise CollinearPoints("points are linearly dependent")
     return np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]]) / det[:, None]
-
-
-def dual_vertex2(p, q):
-    """The point v with v.p = v.q = 1."""
-    return dual_vertices2(p, q)[0]

@@ -5,8 +5,8 @@ sin a sin b).  Grids are product Gauss-Legendre in cos(alpha) (split at
 alpha = pi/2) times midpoint in beta, so no quadrature cell straddles a
 coordinate plane and octant restrictions are exact sub-sums.
 
-Polytopes bypass quadrature.  Volumes, octant volumes, wedges and polar
-pieces are cone sums over the boundary triangles the polytope carries: each
+Polytopes bypass quadrature.  Volumes, octant volumes and polar pieces
+are cone sums over the boundary triangles the polytope carries: each
 cut is a plane through the origin, so a cut body is a sum of tetrahedra
 over the cut triangles.  The last cut of a chain builds no pieces: it gives
 each triangle's cone fraction on one side in closed form.  A central
@@ -27,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .body import ConvexBody3, SymmetricPolytope, _cone6, polar, sphere_point
-from .errors import BadGridSize, ClassificationUnstable, NoConvergence
+from .errors import BadGridSize, ClassificationUnstable
 from .planar import _clip_segments, _fan_area
 
 TWO_PI = 2.0 * math.pi
@@ -300,19 +299,6 @@ def _table_octants(rho: np.ndarray, grid: SphereGrid) -> np.ndarray:
     return np.array([np.sum(rho3[nodes]) / 3.0 for nodes in grid.octant_nodes])
 
 
-def wedge_volume(K: SymmetricPolytope, b0: float, b1: float) -> float:
-    """Exact |K ∩ {b0 <= beta <= b1}|, beta the angle around the x-axis.
-
-    beta is measured in the (y, z) plane from +y toward +z, matching the
-    second spherical coordinate; requires 0 <= b1 - b0 <= pi."""
-    if b1 - b0 < 1e-9:
-        return 0.0
-    n0 = np.array([0.0, -math.sin(b0), math.cos(b0)])  # beta >= b0 where n0.x > 0
-    n1 = np.array([0.0, math.sin(b1), -math.cos(b1)])  # beta < b1 where n1.x > 0
-    pieces = _split(K.vertices[K.triangles], n0)[0]
-    return float(np.sum(_cone6(pieces) * _cut(pieces, n1)[0])) / 6.0
-
-
 # octant index by sign bits 4*(x<0) + 2*(y<0) + (z<0): the inverse of the
 # permutation that maps each octant to its sign bits
 _OCTANT_OF_SIGN_BITS = np.argsort(
@@ -423,15 +409,6 @@ def _section_vertices(seg: np.ndarray) -> np.ndarray:
     return p[np.argsort(np.arctan2(p[:, 1], p[:, 0]))]
 
 
-def section_polygon(K: SymmetricPolytope, plane: int) -> np.ndarray:
-    """Exact polygon (in-plane coords, ccw) of K cut by a coordinate plane.
-
-    Its vertices are where the plane cuts the boundary triangles, so a
-    collinear vertex appears where the plane crosses a diagonal that the
-    triangulation draws inside a facet."""
-    return _section_vertices(_section_segments(K, _PLANE_FRAMES[plane]))
-
-
 _N_CIRCLE = 2048
 
 
@@ -499,7 +476,7 @@ def quarter_areas(K: ConvexBody3) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# volume product and Santalo point
+# volume product
 
 
 def volume_product(K: ConvexBody3, grid: SphereGrid) -> float:
@@ -513,36 +490,3 @@ def volume_product(K: ConvexBody3, grid: SphereGrid) -> float:
         vols = [float(np.sum(_cone6(P.vertices[P.triangles] * c))) / 6.0 for P, c in ((K, s), (Kp, 1.0 / s))]
         return vols[0] * vols[1]
     return volume(K, grid) * volume(polar(K), grid)
-
-
-def santalo_point(K, grid: SphereGrid):
-    """Translation z minimizing |K^z| (Nelder-Mead on the polar-volume form).
-
-    Accepts a ConvexBody3 or a plain (n,3) vertex array of a general
-    (possibly non-symmetric) polytope.
-    """
-    if isinstance(K, ConvexBody3):
-        h = K.support_many(grid.units)
-        start = np.zeros(3)
-    else:
-        verts = np.asarray(K, dtype=float)
-        h = np.max(grid.units @ verts.T, axis=1)
-        start = verts.mean(axis=0)
-    u = grid.units
-    w = grid.weights
-
-    def objective(z):
-        den = h - u @ z
-        if np.min(den) <= 1e-12:
-            return np.inf
-        return float(np.sum(w / den**3) / 3.0)
-
-    res = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 10_000, "maxfev": 20_000},
-    )
-    if not res.success:
-        raise NoConvergence(f"Santalo search failed: {res.message}")
-    return res.x

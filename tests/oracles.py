@@ -32,11 +32,22 @@ coordinate rows, are checked bit for bit against the formulas over a
 trailing axis of length 3.  The library's max-dot kernel, which bins its
 queries by direction and reduces each bin over the columns that can reach
 its maxima, is checked bit for bit against the full product in row blocks.
+
+The last section holds references and lemma checks that no command runs,
+kept here so that their tests read them by the same names: a polytope's
+wedge volume (`wedge_volume`) and coordinate section polygon
+(`section_polygon`) from the cut triangles, a 200-point Gauss-Legendre check
+of the balance equations (`balance_residuals`), the chain's test points from
+a body's own measures (`test_points`), the cone-volume comparison on random
+boundary triangles (`cone_inequality_check`, with `cone_volume` and
+`curve_vector_between`), the equality-case classifier (`detect_equality`)
+and the planar equality family of tilted squares (`equality_family`).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -129,7 +140,7 @@ def hull2(points):
 def projection_polygon(K, plane):
     """The shadow of a polytope along axis `plane` (1: x, 2: y, 3: z) as the
     hull of its projected vertices, in the in-plane coordinates of
-    quadrature.section_polygon."""
+    section_polygon."""
     j, k = {1: (1, 2), 2: (2, 0), 3: (0, 1)}[plane]
     return hull2(K.vertices[:, [j, k]])
 
@@ -179,8 +190,6 @@ def bisect(pred, lo, hi, steps):
 
 def bisect_theta_polytope(K):
     """Theta of a polytope by 60 halvings on the exact wedge volume."""
-    from mahlerlab.quadrature import wedge_volume
-
     upper = wedge_volume(K, 0.0, math.pi)
     return bisect(lambda b: wedge_volume(K, 0.0, b) < 0.5 * upper, 1e-5, math.pi - 1e-5, 60)
 
@@ -207,7 +216,7 @@ def halfspaces_to_polygon(normals):
 def hull_section_polygon(K, plane):
     """The section of a polytope by a coordinate plane (1: x = 0, 2: y = 0,
     3: z = 0) by facet duality, in the in-plane coordinates of
-    quadrature.section_polygon."""
+    section_polygon."""
     j, k = {1: (1, 2), 2: (2, 0), 3: (0, 1)}[plane]
     return halfspaces_to_polygon(K.facets[:, [j, k]])
 
@@ -582,3 +591,220 @@ def lp_lambda(K, pts):
     x = pts / lp_gauge(K, pts)[..., None]
     z = np.abs(x) / K.axes
     return np.sign(x) * z ** (K.p - 1.0) / K.axes
+
+
+# ---------------------------------------------------------------------------
+# references and lemma checks that no command runs
+
+
+def wedge_volume(K, b0, b1):
+    """Exact |K ∩ {b0 <= beta <= b1}| of a polytope by two cuts of its
+    boundary triangles, beta the angle around the x-axis.
+
+    beta is measured in the (y, z) plane from +y toward +z, matching the
+    second spherical coordinate; requires 0 <= b1 - b0 <= pi."""
+    from mahlerlab.body import _cone6
+    from mahlerlab.quadrature import _cut, _split
+
+    if b1 - b0 < 1e-9:
+        return 0.0
+    n0 = np.array([0.0, -math.sin(b0), math.cos(b0)])  # beta >= b0 where n0.x > 0
+    n1 = np.array([0.0, math.sin(b1), -math.cos(b1)])  # beta < b1 where n1.x > 0
+    pieces = _split(K.vertices[K.triangles], n0)[0]
+    return float(np.sum(_cone6(pieces) * _cut(pieces, n1)[0])) / 6.0
+
+
+def section_polygon(K, plane):
+    """Exact polygon (in-plane coords, ccw) of a polytope cut by a coordinate
+    plane (1: x = 0, 2: y = 0, 3: z = 0), from the cut segments the library's
+    section measures read.
+
+    Its vertices are where the plane cuts the boundary triangles, so a
+    collinear vertex appears where the plane crosses a diagonal that the
+    triangulation draws inside a facet."""
+    from mahlerlab.quadrature import _PLANE_FRAMES, _section_segments, _section_vertices
+
+    return _section_vertices(_section_segments(K, _PLANE_FRAMES[plane]))
+
+
+def balance_residuals(K, ang):
+    """Independent Gauss-Legendre check of the three balance equations.
+
+    Returns (I_theta, I_phi, I_psi): differences of the two sides, each
+    computed with 200-point GL on the split intervals (no FFT involved).
+    """
+    from mahlerlab.body import sphere_point
+    from mahlerlab.quadrature import GL64
+
+    x, w = np.polynomial.legendre.leggauss(200)
+
+    def seg(f, a, b, rule=(x, w)):
+        t = 0.5 * (b - a) * rule[0] + 0.5 * (a + b)
+        return 0.5 * (b - a) * np.sum(rule[1] * f(t))
+
+    def split(f, cut, rule=(x, w)):
+        return seg(f, 0.0, cut, rule) - seg(f, cut, math.pi, rule)
+
+    def profile(beta, power):
+        return lambda a: K.radial_many(sphere_point(a, np.full_like(a, beta))) ** power
+
+    def J(betas):
+        return np.array([seg(lambda a: profile(b, 3)(a) * np.sin(a), 0.0, math.pi) for b in betas])
+
+    return (
+        split(J, ang.theta_cap, GL64),
+        split(profile(0.0, 2), ang.phi_cap),
+        split(profile(ang.theta_cap, 2), ang.psi_cap),
+    )
+
+
+def test_points(K, grid):
+    """The four points S_i in K and four points R_i in the polar, from K's
+    measures alone (verify_chain reads them off the measures it reports).
+    Not a test: import it under another name into a test module."""
+    from mahlerlab.body import polar
+    from mahlerlab.bound3d import _test_points, curve_vectors
+    from mahlerlab.quadrature import _polar_pieces, octant_volumes
+
+    cv = curve_vectors(K)
+    piece = octant_volumes(K, grid)[:4]
+    Kp = polar(K)
+    return _test_points(K, Kp, cv, piece, _polar_pieces(Kp, grid)[:4])
+
+
+_GL8 = np.polynomial.legendre.leggauss(8)
+_PANELS = 64
+
+
+def _gauge_line_integral(K, P, Q):
+    """int_0^1 gauge((1-t)P + tQ)^(-2) dt, composite Gauss-Legendre on 64
+    panels of 8 nodes."""
+    x, w = _GL8
+    edges = np.linspace(0.0, 1.0, _PANELS + 1)
+    centre = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 / _PANELS
+    t = (centre[:, None] + half * x[None, :]).ravel()
+    pts = np.outer(1.0 - t, P) + np.outer(t, Q)
+    g = K.gauge_many(pts)
+    wt = np.tile(w * half, _PANELS)
+    return float(np.sum(wt / g**2))
+
+
+def curve_vector_between(K, P, Q):
+    """Curve vector of the oriented boundary segment from P to Q.
+
+    For the radial projection of a chord the integrand factorizes: the
+    vector is cross(P, Q) times the line integral of gauge^(-2)."""
+    return np.cross(P, Q) * _gauge_line_integral(K, P, Q)
+
+
+def cone_volume(K, A1, A2, A3):
+    """Volume of the radial cone over the boundary patch spanned by the
+    directions of A1, A2, A3 (collapsed-square quadrature on the flat
+    triangle; the radial factor reduces to gauge^(-3))."""
+    from mahlerlab.quadrature import GL64
+
+    x, w = GL64
+    xi = 0.5 * (x + 1.0)
+    wi = 0.5 * w
+    a = xi[:, None]
+    b = xi[None, :] * (1.0 - a)
+    jac = (wi[:, None] * wi[None, :]) * (1.0 - a)
+    u = (
+        np.asarray(A1)[None, None, :]
+        + a[:, :, None] * (np.asarray(A2) - np.asarray(A1))[None, None, :]
+        + b[:, :, None] * (np.asarray(A3) - np.asarray(A1))[None, None, :]
+    )
+    g = K.gauge_many(u.reshape(-1, 3)).reshape(u.shape[:2])
+    det = float(np.linalg.det(np.array([A1, A2, A3])))
+    return det / 3.0 * float(np.sum(jac / g**3))
+
+
+@dataclass(frozen=True)
+class ConeCheck:
+    trials: int
+    violations: int
+    worst_margin: float  # min over trials of cone volume - signed cone sum
+
+
+def cone_inequality_check(K, trials=1000, seed=0):
+    """Signed-volume comparison on random boundary triangles.
+
+    For boundary points A1, A2, A3 with det(A1,A2,A3) > 0 and any P in K,
+    one sixth of P dotted with the sum of the three segment curve vectors
+    (the signed volume of the cone from P over the three chordal fans) is
+    at most the radial cone volume over the patch (up to 1e-6 slack).
+    """
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst = math.inf
+    done = 0
+    while done < trials:
+        u = rng.standard_normal((3, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        det = float(np.linalg.det(u))
+        if abs(det) < 0.05:
+            continue
+        if det < 0:
+            u[[1, 2]] = u[[2, 1]]
+        A = u / K.gauge_many(u)[:, None]
+        up = rng.standard_normal(3)
+        up /= np.linalg.norm(up)
+        P = rng.random() ** (1.0 / 3.0) / K.gauge(up) * up
+        c = (
+            curve_vector_between(K, A[0], A[1])
+            + curve_vector_between(K, A[1], A[2])
+            + curve_vector_between(K, A[2], A[0])
+        )
+        lhs = float(P @ c) / 6.0
+        vol = cone_volume(K, A[0], A[1], A[2])
+        margin = vol - lhs
+        worst = min(worst, margin)
+        if margin < -1e-6:
+            violations += 1
+        done += 1
+    return ConeCheck(trials=trials, violations=violations, worst_margin=worst)
+
+
+def _is_parallelepiped(K):
+    # a symmetric polytope with six facets is three slabs: a parallelepiped
+    from mahlerlab.body import SymmetricPolytope
+
+    return isinstance(K, SymmetricPolytope) and len(K.vertices) == 8 and len(K.facets) == 6
+
+
+def detect_equality(K):
+    """Classify a body as an extremizer shape.
+
+    Returns "parallelepiped" if the body itself is one, "cross_polytope_dual"
+    if its polar is, "neither" otherwise.  Smooth bodies are never
+    extremizers, so non-polytopes report "neither"."""
+    from mahlerlab.body import SymmetricPolytope, polar
+
+    if _is_parallelepiped(K):
+        return "parallelepiped"
+    if isinstance(K, SymmetricPolytope) and _is_parallelepiped(polar(K)):
+        return "cross_polytope_dual"
+    return "neither"
+
+
+def equality_family(a):
+    """The tilted-square pair attaining product 8, parameter a in (-1, 1].
+
+    K has vertices +-(1-a, 1+a)/(1+a^2), +-(-1-a, 1-a)/(1+a^2) and its polar
+    is the square with vertices +-(1, a), +-(-a, 1); the areas are 4/(1+a^2)
+    and 2(1+a^2).
+    """
+    from mahlerlab.bound2d import Polygon2
+    from mahlerlab.errors import BadParameter
+
+    if not (-1.0 < a <= 1.0):
+        raise BadParameter("parameter must lie in (-1, 1]")
+    d = 1.0 + a * a
+    v1 = np.array([1.0 - a, 1.0 + a]) / d
+    v2 = np.array([-1.0 - a, 1.0 - a]) / d
+    K = Polygon2(np.array([v1, v2, -v1, -v2]))
+    w1 = np.array([1.0, a])
+    w2 = np.array([-a, 1.0])
+    Kp = Polygon2(np.array([w1, w2, -w1, -w2]))
+    return K, Kp

@@ -18,17 +18,12 @@ from conftest import (
     random_symmetric_polytope,
     sheared_cube,
 )
-from mahlerlab.body import LinearMap3, ball, cross_polytope, cube, polar
-from mahlerlab.bound2d import equality_family, normalize2, verify2
-from mahlerlab.bound3d import (
-    LOWER_BOUND,
-    cone_inequality_check,
-    detect_equality,
-    test_points as chain_points,
-    verify_chain,
-)
+from mahlerlab.body import LinearMap3, LpBall, cross_polytope, cube, polar
+from mahlerlab.bound2d import normalize2, verify2
+from mahlerlab.bound3d import LOWER_BOUND, verify_chain
 from mahlerlab.normalize import BoxPoint, find_normalization, symmetry_residuals, winding
 from mahlerlab.quadrature import make_grid, volume, volume_product
+from oracles import cone_inequality_check, detect_equality, equality_family, test_points as chain_points
 
 
 def perturbed_cube(rng, spread=0.15):
@@ -80,7 +75,7 @@ class TestBallProduct:
     def test_accuracy_and_runtime(self):
         t0 = time.perf_counter()
         g = make_grid(128, 256)
-        p = volume(ball(), g) * volume(polar(ball()), g)
+        p = volume(LpBall(2.0), g) * volume(polar(LpBall(2.0)), g)
         elapsed = time.perf_counter() - t0
         assert p == pytest.approx((4.0 * math.pi / 3.0) ** 2, rel=1e-3)
         assert elapsed < 5.0
@@ -166,7 +161,7 @@ class TestPairingInequality:
         rng = np.random.default_rng(66)
         bodies = [
             cube(),
-            ball(),
+            LpBall(2.0),
             perturbed_cube(rng),
             random_symmetric_polytope(rng, pairs=10),
             random_lp_ball(rng),

@@ -9,15 +9,14 @@ import oracles
 from conftest import random_lp_ball, random_smooth_body, random_symmetric_polytope, sheared_cube
 from mahlerlab import body as body_module, errors
 from mahlerlab.body import (
-    Direction,
     Ellipsoid,
     LinearMap3,
     LpBall,
     RadialField,
     SymmetricPolytope,
     TransformedBody,
-    apply_linear,
-    ball,
+    _rotation,
+    _table_units,
     boundary_map,
     cross_polytope,
     cube,
@@ -37,8 +36,8 @@ def unit_dirs(rng, n):
 
 class TestConstruction:
     def test_direction_embeds_unit(self):
-        d = Direction(0.7, 2.1)
-        assert abs(np.linalg.norm(d.unit()) - 1.0) < 1e-14
+        d = sphere_point(0.7, 2.1)
+        assert abs(np.linalg.norm(d) - 1.0) < 1e-14
 
     def test_cube_from_vertices(self):
         signs = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
@@ -109,10 +108,10 @@ class TestConstruction:
         A = LinearMap3(np.diag([1.0, 2.0, 0.5]))
         for obj, attr in (
             (cube(), "vertices"),
-            (ball(), "p"),
-            (Ellipsoid.from_axes(1.0, 2.0, 0.5), "M"),
+            (LpBall(2.0), "p"),
+            (Ellipsoid(np.diag(1.0 / np.array([1.0, 2.0, 0.5]) ** 2)), "M"),
             (RadialField(np.ones((9, 8))), "values"),
-            (TransformedBody(ball(), A), "base"),
+            (TransformedBody(LpBall(2.0), A), "base"),
             (A, "matrix"),
         ):
             with pytest.raises(AttributeError):
@@ -156,7 +155,7 @@ class TestGaugeRadial:
         assert rho == pytest.approx(0.5, abs=1e-14)
 
     def test_ball_gauge(self):
-        mu, rho = gauge_radial(ball(), (0.0, 1.0, 0.0))
+        mu, rho = gauge_radial(LpBall(2.0), (0.0, 1.0, 0.0))
         assert mu == pytest.approx(1.0, abs=1e-14)
         assert rho == pytest.approx(1.0, abs=1e-14)
 
@@ -285,7 +284,7 @@ class TestPolar:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_ellipsoid_polar_axes(self):
-        E = Ellipsoid.from_axes(2.0, 1.0, 0.5)
+        E = Ellipsoid(np.diag(1.0 / np.array([2.0, 1.0, 0.5]) ** 2))
         Ep = polar(E)
         assert Ep.support((1.0, 0.0, 0.0)) == pytest.approx(0.5, rel=1e-12)
         assert Ep.support((0.0, 0.0, 1.0)) == pytest.approx(2.0, rel=1e-12)
@@ -310,7 +309,7 @@ class TestPolar:
 
     def test_involution_radial_field(self):
         K0 = LpBall(3.0, (1.0, 0.8, 1.2))
-        K = RadialField.from_function(lambda u: K0.radial_many(u), 64, 128)
+        K = RadialField(K0.radial_many(_table_units(64, 128)))
         us = make_grid(64, 128).units
         r0, r1 = K.radial_many(us), polar(polar(K)).radial_many(us)
         assert np.max(np.abs(r1 / r0 - 1.0)) < 1e-6
@@ -318,9 +317,7 @@ class TestPolar:
     def test_radial_lambda_memory_bounded(self):
         # boundary points of the 128x256 grid against a 33x64 table: the
         # dense query-by-table dot matrix alone would take 553 MB
-        K = RadialField.from_function(
-            lambda u: 1.0 / np.sum(u**4, axis=-1) ** 0.25, 32, 64
-        )
+        K = RadialField(1.0 / np.sum(_table_units(32, 64) ** 4, axis=-1) ** 0.25)
         grid = make_grid(128, 256)
         pts = grid.units * K.radial_many(grid.units)[:, None]
         tracemalloc.start()
@@ -343,10 +340,10 @@ class TestPolar:
 class TestBoundaryMap:
     def test_ball_self_dual(self):
         x = np.array([1.0, 2.0, -2.0]) / 3.0
-        assert np.allclose(boundary_map(ball(), x), x, atol=1e-12)
+        assert np.allclose(boundary_map(LpBall(2.0), x), x, atol=1e-12)
 
     def test_ellipsoid_gradient(self):
-        E = Ellipsoid.from_axes(1.5, 1.0, 0.75)
+        E = Ellipsoid(np.diag(1.0 / np.array([1.5, 1.0, 0.75]) ** 2))
         rng = np.random.default_rng(41)
         for u in unit_dirs(rng, 5):
             x = u / E.gauge(u)
@@ -381,7 +378,7 @@ class TestBoundaryMap:
 
     def test_not_on_boundary(self):
         with pytest.raises(errors.NotOnBoundary):
-            boundary_map(ball(), np.array([0.5, 0.0, 0.0]))
+            boundary_map(LpBall(2.0), np.array([0.5, 0.0, 0.0]))
 
     def test_polytope_tie_break_lowest_facet(self):
         K = cube()
@@ -394,7 +391,7 @@ class TestBoundaryMap:
 
 def _l4_table():
     """The l4 unit ball tabulated at 32x64."""
-    return RadialField.from_function(lambda u: 1.0 / np.sum(u**4, axis=-1) ** 0.25, 32, 64)
+    return RadialField(1.0 / np.sum(_table_units(32, 64) ** 4, axis=-1) ** 0.25)
 
 
 def _tables():
@@ -402,8 +399,8 @@ def _tables():
     many ties), three random linear images of lp balls and a 4:1:1 body."""
     rng = np.random.default_rng(49)
     tables = [_l4_table(), RadialField(np.ones((33, 64)))]
-    tables += [RadialField.from_function(random_smooth_body(rng).radial_many, 32, 64) for _ in range(3)]
-    tables.append(RadialField.from_function(LpBall(3.0, (4.0, 1.0, 1.0)).radial_many, 32, 64))
+    tables += [RadialField(random_smooth_body(rng).radial_many(_table_units(32, 64))) for _ in range(3)]
+    tables.append(RadialField(LpBall(3.0, (4.0, 1.0, 1.0)).radial_many(_table_units(32, 64))))
     return tables
 
 
@@ -413,7 +410,7 @@ class TestRadialContactMap:
         tables = [_l4_table()]
         for _ in range(2):
             K0 = random_smooth_body(rng)  # a random linear image of an lp ball
-            tables.append(RadialField.from_function(K0.radial_many, 32, 64))
+            tables.append(RadialField(K0.radial_many(_table_units(32, 64))))
         us = fine_grid.units
         for K in tables + [polar(K) for K in tables]:
             pts = us * K.radial_many(us)[:, None]
@@ -503,7 +500,7 @@ class TestApplyLinear:
     def test_identity(self):
         rng = np.random.default_rng(51)
         K = random_lp_ball(rng)
-        L = apply_linear(K, LinearMap3.identity())
+        L = K.transformed(LinearMap3(np.eye(3)))
         us = unit_dirs(rng, 30)
         assert np.allclose(L.radial_many(us), K.radial_many(us), rtol=1e-14)
 
@@ -515,12 +512,12 @@ class TestApplyLinear:
         assert A.det == pytest.approx(scale**3, rel=1e-12)
         from mahlerlab.quadrature import volume
 
-        assert volume(apply_linear(cube(), A), grid) == pytest.approx(8.0 * scale**3, rel=1e-12)
+        assert volume(cube().transformed(A), grid) == pytest.approx(8.0 * scale**3, rel=1e-12)
 
     def test_cube_stretch(self, grid):
         from mahlerlab.quadrature import volume
 
-        L = apply_linear(cube(), LinearMap3(np.diag([2.0, 1.0, 1.0])))
+        L = cube().transformed(LinearMap3(np.diag([2.0, 1.0, 1.0])))
         assert volume(L, grid) == pytest.approx(16.0, abs=1e-12)
         assert L.support((1.0, 0.0, 0.0)) == pytest.approx(2.0, abs=1e-12)
 
@@ -528,7 +525,7 @@ class TestApplyLinear:
         rng = np.random.default_rng(52)
         A = LinearMap3(np.eye(3) + 0.3 * rng.standard_normal((3, 3)))
         K = random_lp_ball(rng)
-        L = apply_linear(K, A)
+        L = K.transformed(A)
         pts = rng.standard_normal((40, 3))
         assert np.allclose(L.gauge_many(pts), K.gauge_many(pts @ A.inverse.T),
                            rtol=1e-10)
@@ -549,7 +546,7 @@ class TestApplyLinear:
         K = random_symmetric_polytope(rng, pairs=8)
         A = LinearMap3(np.eye(3) + 0.4 * rng.standard_normal((3, 3)))
         p0 = volume_product(K, grid)
-        p1 = volume_product(apply_linear(K, A), grid)
+        p1 = volume_product(K.transformed(A), grid)
         assert p1 == pytest.approx(p0, rel=1e-8)
 
 
@@ -565,7 +562,7 @@ def _polytope_images():
     bodies = [cube(), cross_polytope()]
     bodies += [random_symmetric_polytope(rng, pairs=int(rng.integers(4, 16))) for _ in range(4)]
     bodies += [sheared_cube(rng) for _ in range(2)]
-    Rx, Ry, Rz = LinearMap3.rotation_x(0.7), LinearMap3.rotation_y(1.9), LinearMap3.rotation_z(2.6)
+    Rx, Ry, Rz = (LinearMap3(_rotation(i, t)) for i, t in enumerate((0.7, 1.9, 2.6)))
     rotation = Rx.compose(Ry).compose(Rz)
     out = []
     for K in bodies:

@@ -8,15 +8,13 @@ import oracles
 from mahlerlab import errors
 from mahlerlab.bound2d import (
     Polygon2,
-    dual_vertex2,
-    equality_family,
     normalize2,
     polar2,
     verify2,
 )
 from mahlerlab.bound2d import _quadrant_gap
 from mahlerlab.planar import dual_vertices2, shoelace
-from oracles import bisect
+from oracles import bisect, equality_family
 
 
 def square2():
@@ -40,6 +38,17 @@ class TestPolygon2:
     def test_rejects_asymmetric(self):
         with pytest.raises(errors.NotSymmetric):
             Polygon2([[1, 0], [0, 1], [-1, 0], [0, -2]])
+
+    @pytest.mark.parametrize("offset,symmetric", [(5e-6, False), (1e-10, True)])
+    def test_symmetry_tolerance_is_absolute(self, offset, symmetric):
+        # a vertex and its antipode may differ by 1e-9 of the largest
+        # coordinate, with no relative slack on top
+        v = [[1.0 + offset, 0.0], [0.3, 1.0], [-1.0, 0.0], [-0.3, -1.0]]
+        if symmetric:
+            assert len(Polygon2(v).vertices) == 4
+        else:
+            with pytest.raises(errors.NotSymmetric):
+                Polygon2(v)
 
     def test_rejects_odd_count(self):
         with pytest.raises((errors.NotSymmetric, errors.DegenerateBody)):
@@ -74,7 +83,7 @@ class TestPolygon2:
 
 class TestDualVertex2:
     def test_axes(self):
-        assert np.allclose(dual_vertex2((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0))
+        assert np.allclose(dual_vertices2((1.0, 0.0), (0.0, 1.0))[0], (1.0, 1.0))
 
     def test_random_pairs(self):
         rng = np.random.default_rng(90)
@@ -82,19 +91,19 @@ class TestDualVertex2:
             p, q = rng.standard_normal((2, 2))
             if abs(p[0] * q[1] - p[1] * q[0]) < 1e-6:
                 continue
-            v = dual_vertex2(p, q)
+            v = dual_vertices2(p, q)[0]
             assert abs(v @ p - 1.0) < 1e-12
             assert abs(v @ q - 1.0) < 1e-12
 
     def test_collinear(self):
         with pytest.raises(errors.CollinearPoints):
-            dual_vertex2((1.0, 2.0), (2.0, 4.0))
+            dual_vertices2((1.0, 2.0), (2.0, 4.0))
 
     def test_rows_match_one_pair_case(self):
         p, q = np.random.default_rng(91).standard_normal((2, 30, 2))
         v = dual_vertices2(p, q)
         for k in range(len(p)):
-            assert v[k].tobytes() == dual_vertex2(p[k], q[k]).tobytes()
+            assert v[k].tobytes() == dual_vertices2(p[k], q[k])[0].tobytes()
             det = p[k, 0] * q[k, 1] - p[k, 1] * q[k, 0]
             want = np.array([q[k, 1] - p[k, 1], p[k, 0] - q[k, 0]]) / det
             assert v[k].tobytes() == want.tobytes()

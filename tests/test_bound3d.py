@@ -11,33 +11,30 @@ from conftest import (
     random_symmetric_polytope,
     sheared_cube,
 )
-from mahlerlab import bound3d, errors, normalize, quadrature
+from mahlerlab import bound3d, normalize, quadrature
 from mahlerlab.body import (
     ConvexBody3,
     LinearMap3,
     LpBall,
     RadialField,
     SymmetricPolytope,
-    ball,
+    _table_units,
     cross_polytope,
     cube,
     polar,
 )
-from mahlerlab.bound3d import (
-    LOWER_BOUND,
-    _dual_curve_vector,
+from mahlerlab.bound3d import LOWER_BOUND, _dual_curve_vector, curve_vectors, verify_chain
+from mahlerlab.normalize import find_normalization, rotate
+from mahlerlab.quadrature import projection_areas
+from oracles import (
     _is_parallelepiped,
     cone_inequality_check,
     cone_volume,
     curve_vector_between,
-    curve_vectors,
     detect_equality,
-    dual_vertex3,
+    section_polygon,
     test_points as chain_points,
-    verify_chain,
 )
-from mahlerlab.normalize import find_normalization, rotate
-from mahlerlab.quadrature import projection_areas, section_polygon
 
 
 class TestCurveVectors:
@@ -168,9 +165,9 @@ class TestTestPoints:
         assert cross_polytope().gauge(R[0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_ball_symmetry(self, grid):
-        S, R = chain_points(ball(), grid)
+        S, R = chain_points(LpBall(2.0), grid)
         assert np.allclose(S[0], S[0][0] * np.ones(3), rtol=1e-6)
-        assert ball().gauge(S[0]) < 1.0
+        assert LpBall(2.0).gauge(S[0]) < 1.0
 
     def test_pairing_bound_spot_check(self, grid):
         rng = np.random.default_rng(101)
@@ -203,7 +200,7 @@ class TestVerifyChain:
         assert rep.applicable and rep.chain_ok
 
     def test_ball(self, grid):
-        rep = verify_chain(ball(), grid)
+        rep = verify_chain(LpBall(2.0), grid)
         assert rep.product == pytest.approx((4 * math.pi / 3) ** 2, rel=1e-3)
         assert rep.applicable and rep.chain_ok
         assert rep.slack > 6.0
@@ -298,7 +295,7 @@ class TestVerifyChain:
 
     def test_radial_table_chain(self, fine_grid):
         # the l4 ball tabulated at 32x64, at the command line's default grid
-        K = RadialField.from_function(lambda u: 1.0 / np.sum(u**4, axis=-1) ** 0.25, 32, 64)
+        K = RadialField(1.0 / np.sum(_table_units(32, 64) ** 4, axis=-1) ** 0.25)
         rep = verify_chain(K, fine_grid)
         assert rep.applicable and rep.chain_ok
         assert rep.product >= LOWER_BOUND
@@ -306,7 +303,7 @@ class TestVerifyChain:
 
 class TestCone:
     def test_origin_point_trivial(self):
-        K = ball()
+        K = LpBall(2.0)
         A = np.eye(3)
         assert cone_volume(K, *A) > 0.0
 
@@ -317,13 +314,13 @@ class TestCone:
             u /= np.linalg.norm(u, axis=1)[:, None]
             if np.linalg.det(u) < 0.05:
                 continue
-            got = cone_volume(ball(), *u)
+            got = cone_volume(LpBall(2.0), *u)
             want = oracles.ball_cone_volume(*u)
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_curve_vector_between_ball(self):
         # quarter great-circle arc: cross(e1,e2) * arc integral of 1
-        v = curve_vector_between(ball(), np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
+        v = curve_vector_between(LpBall(2.0), np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
         # for the ball the integrand is 1/((1-t)^2+t^2), integral = pi/2
         assert np.allclose(v, (0.0, 0.0, math.pi / 2), atol=1e-10)
 
@@ -332,28 +329,6 @@ class TestCone:
         chk = cone_inequality_check(K, trials=300, seed=1)
         assert chk.violations == 0
         assert chk.worst_margin > -1e-6
-
-
-class TestDualVertex3:
-    def test_axes(self):
-        assert np.allclose(dual_vertex3((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1))
-
-    def test_cross_polytope_face(self):
-        v = dual_vertex3((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert cube().gauge(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_random_triples(self):
-        rng = np.random.default_rng(107)
-        for _ in range(20):
-            M = rng.standard_normal((3, 3))
-            if abs(np.linalg.det(M)) < 1e-3:
-                continue
-            v = dual_vertex3(*M)
-            assert np.max(np.abs(M @ v - 1.0)) < 1e-10
-
-    def test_singular(self):
-        with pytest.raises(errors.SingularFace):
-            dual_vertex3((1, 0, 0), (2, 0, 0), (0, 0, 1))
 
 
 class TestDetectEquality:
@@ -367,7 +342,7 @@ class TestDetectEquality:
         assert detect_equality(cross_polytope().transformed(A)) == "cross_polytope_dual"
 
     def test_neither(self, grid):
-        assert detect_equality(ball()) == "neither"
+        assert detect_equality(LpBall(2.0)) == "neither"
         K = random_symmetric_polytope(np.random.default_rng(110), pairs=9)
         assert detect_equality(K) == "neither"
 
