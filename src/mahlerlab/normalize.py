@@ -647,13 +647,15 @@ def _scan_candidates(field: _BoxField) -> list:
     return cand
 
 
-def _refine(field: _BoxField, x0, v0, volK: float):
-    """A zero (x, fgh) of the field near x0, where it is v0, or None.
+def _refine(field: _BoxField, x0, v0, volK: float) -> np.ndarray:
+    """The box point where a search for a zero of the field from x0, where
+    it is v0, ends.
 
-    Damped Newton with central differences, whose six points are one batch.
-    Where it fails, the Newton direction has degenerated, as where the zero
-    set is locally a curve; a bounded trust-region step still descends
-    there, and its end is accepted below 1e-6 |K|."""
+    Damped Newton with central differences, whose six points are one batch,
+    ends at its first point below 1e-8 |K|.  Where it fails, the Newton
+    direction has degenerated, as where the zero set is locally a curve; a
+    bounded trust-region step from x0 still descends there, and the search
+    ends where it stops."""
     target = 1e-8 * volK
     h = 1e-4
 
@@ -663,7 +665,7 @@ def _refine(field: _BoxField, x0, v0, volK: float):
     x, v = np.array(x0, dtype=float), v0
     for _ in range(40):
         if norm(v) < target:
-            return x, v
+            return x
         steps = [sign * h * e for e in np.eye(3) for sign in (1.0, -1.0)]
         f = [rec.fgh for rec in field.many([tuple(x + e) for e in steps])]
         J = np.column_stack([(f[2 * j] - f[2 * j + 1]) / (2 * h) for j in range(3)])
@@ -683,8 +685,8 @@ def _refine(field: _BoxField, x0, v0, volK: float):
             break
     else:
         if norm(v) < target:
-            return x, v
-    res = least_squares(
+            return x
+    return least_squares(
         lambda x: field(*x).fgh,
         np.asarray(x0, dtype=float),
         bounds=([0.0, 0.0, 0.0], [1.0, PI, PI]),
@@ -692,19 +694,17 @@ def _refine(field: _BoxField, x0, v0, volK: float):
         ftol=3e-16,
         gtol=3e-16,
         diff_step=1e-6,
-    )
-    if norm(res.fun) < 1e-6 * volK:
-        return np.asarray(res.x), res.fun
-    return None
+    ).x
 
 
 def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     """Locate a zero of (F,G,H) in the box and return the normalized body.
 
-    Coarse 9^3 scan, then damped Newton (central finite differences) from
-    the six best distinct scan points, then recursive local rescans around
-    the best point at halved spacing, up to depth 12.  The scan, each
-    27-point rescan and each Newton Jacobian are one batch of the field.
+    A coarse 9^3 scan, then _refine from the six best distinct scan points,
+    smallest |fgh| first.  The first end below 1e-8 |K| is the result; if
+    none is, the smallest end below 1e-6 |K| (the earliest start among
+    equals), and otherwise NoZeroFound.  The scan and each Newton Jacobian
+    are one batch of the field.
     """
     volK = volume(K, grid)
     # every box point is evaluated once; the winner's evaluation is the result
@@ -715,26 +715,13 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     if origin.fgh_norm < 1e-8 * volK:
         return origin
 
-    cand = _scan_candidates(field)
-    zeros = []
-    for _, x0, vv in cand[:6]:
-        got = _refine(field, x0, vv, volK)
-        if got is not None:
-            zeros.append(got)
-    depth, spacing = 0, np.array([1.0 / 8.0, PI / 8.0, PI / 8.0])
-    center = np.array(cand[0][1])
-    while not zeros and depth < 12:
-        spacing = spacing / 2.0
-        steps = itertools.product((-1, 0, 1), repeat=3)
-        points = [tuple(_clip_box(center + spacing * np.array(step))) for step in steps]
-        local = [(rec.fgh_norm, x, rec.fgh) for x, rec in zip(points, field.many(points))]
-        local.sort(key=lambda c: c[0])
-        center = np.array(local[0][1])
-        got = _refine(field, local[0][1], local[0][2], volK)
-        if got is not None:
-            zeros.append(got)
-        depth += 1
-    if not zeros:
-        raise NoZeroFound("no zero of (F,G,H) located in the box")
-    zeros.sort(key=lambda z: (float(np.max(np.abs(z[1]))), tuple(np.round(z[0], 9))))
-    return field(*zeros[0][0])
+    ends = []
+    for _, x0, v0 in _scan_candidates(field)[:6]:
+        end = field(*_refine(field, x0, v0, volK))
+        if end.fgh_norm < 1e-8 * volK:
+            return end
+        ends.append(end)
+    best = min(ends, key=lambda rec: rec.fgh_norm)
+    if best.fgh_norm < 1e-6 * volK:
+        return best
+    raise NoZeroFound("no zero of (F,G,H) located in the box")

@@ -196,10 +196,22 @@ class TestVp:
         assert rep["product"] == pytest.approx(32.0 / 3.0, abs=1e-9)
 
 
+# one descriptor of each body type the CLI reads
+_MAP = [[1.0, 0.2, 0.0], [0.0, 1.0, 0.1], [0.1, 0.0, 1.0]]
+_DESCRIPTORS = {
+    "polytope": {"type": "polytope", "vertices": cube().transformed(LinearMap3(_MAP)).vertices.tolist()},
+    "lp": {"type": "lp", "p": 3.0, "axes": [1.0, 0.8, 1.2]},
+    "ellipsoid": {"type": "ellipsoid", "matrix": [[1.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.8]]},
+    "radial": {"type": "radial", "values": np.full((9, 8), 1.3).tolist()},
+    "transformed": {"type": "transformed", "base": {"type": "lp", "p": 3.0}, "matrix": _MAP},
+}
+
+
 class TestPolar:
-    def test_round_trip_radial_samples(self, tmp_path):
-        spec = {"type": "lp", "p": 3.0, "axes": [1.0, 0.8, 1.2]}
-        p = write_body(tmp_path / "lp.json", spec)
+    @pytest.mark.parametrize("kind", sorted(_DESCRIPTORS))
+    def test_round_trip_radial_samples(self, kind, tmp_path):
+        spec = _DESCRIPTORS[kind]
+        p = write_body(tmp_path / f"{kind}.json", spec)
         out = tmp_path / "polar.json"
         assert cli.run(["polar", "--body", p, "--out", str(out)]) == cli.EXIT_OK
         Kp = cli.parse_body_file(str(out))
@@ -313,6 +325,14 @@ class TestVerify:
         }
         assert rep["chain_ok"] is True
         assert rep["product"] == pytest.approx(32.0 / 3.0, abs=1e-9)
+
+    def test_refuses_unstable_classification(self, tmp_path, capsys):
+        # the unit ball tabulated on a 33x64 grid puts about 1% of the
+        # 128x256 nodes' polar points on a piece boundary: verify refuses
+        # with exit 3, not a chain on unstable pieces
+        p = write_body(tmp_path / "ball.json", {"type": "radial", "values": np.ones((33, 64)).tolist()})
+        assert cli.run(["verify", "--body", p]) == cli.EXIT_INVALID
+        assert "0.99% of nodes sit on a piece boundary" in capsys.readouterr().err
 
 
 class TestNormalize:

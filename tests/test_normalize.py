@@ -811,22 +811,48 @@ class TestFindNormalization:
         assert len(points) == len(set(points)) == 729
         assert (0.0, 0.0, 0.0) in points
 
-    def test_refines_six_distinct_starts(self, monkeypatch):
-        # the origin is this cube's best scan point: it takes one of the six
-        # refine slots, not two
-        starts = []
+    def test_refines_distinct_starts_until_one_certifies(self, monkeypatch):
+        # the best scan points are refined in order, the origin (this cube's
+        # best scan point) first, and the search stops at the first end below
+        # 1e-8 |K|: that end is the result
+        starts, ends = [], []
         refine = normalize._refine
 
         def counted(field, x0, v0, volK):
             starts.append(tuple(map(float, x0)))
-            return refine(field, x0, v0, volK)
+            x = refine(field, x0, v0, volK)
+            ends.append(field(*x))
+            return x
 
         monkeypatch.setattr(normalize, "_refine", counted)
         K, grid = perturbed_cube(np.random.default_rng(9)), make_grid(32, 64)
         res = find_normalization(K, grid)
+        vol = volume(K, grid)
+        assert len(starts) == len(set(starts))
         assert starts[0] == (0.0, 0.0, 0.0)
-        assert len(starts) == len(set(starts)) == 6
-        assert res.fgh_norm < 1e-6 * volume(K, grid)
+        assert all(end.fgh_norm >= 1e-8 * vol for end in ends[:-1])
+        assert res is ends[-1]
+
+    def test_fallback_and_no_zero(self, monkeypatch):
+        # each start ends at a chosen scan point, none below 1e-8 |K|: the
+        # smallest end below 1e-6 |K| wins, not the first one below it, and
+        # with none below it the search raises NoZeroFound.  |K| is set to
+        # put 1e-6 |K| between the ends.
+        K, grid = perturbed_cube(np.random.default_rng(9)), make_grid(32, 64)
+        cand = normalize._scan_candidates(normalize._BoxField(K, grid))
+        # the k-th start ends at the scan point of rank ranks[k]
+        ranks = [40, 20, 10, 30, 60, 50]
+        ends = {cand[k][1]: cand[r][1] for k, r in enumerate(ranks)}
+        monkeypatch.setattr(normalize, "_refine", lambda field, x0, v0, volK: ends[tuple(x0)])
+        bound = 0.5 * (cand[20][0] + cand[30][0])
+        monkeypatch.setattr(normalize, "volume", lambda K, grid: bound / 1e-6)
+        res = find_normalization(K, grid)
+        assert res.angles[1:] == cand[10][1][1:]
+        assert res.fgh.tobytes() == cand[10][2].tobytes()
+        below = 0.5 * cand[10][0]
+        monkeypatch.setattr(normalize, "volume", lambda K, grid: below / 1e-6)
+        with pytest.raises(errors.NoZeroFound):
+            find_normalization(K, grid)
 
     def test_sheared_cube(self, grid):
         K = sheared_cube(np.random.default_rng(86))
@@ -867,10 +893,21 @@ DESCENT_BODIES = {
 
 class TestDescentBodies:
     @pytest.mark.parametrize("name", sorted(DESCENT_BODIES))
-    def test_normalizes_at_or_above_bound(self, name):
+    def test_normalizes_at_or_above_bound(self, name, monkeypatch):
+        # the search stops at its first certified end: 795 and 764 box points
+        # on run1 and run6; refining all six starts takes over 1,000 on both
+        points = []
+        field_rows = normalize._field_rows
+
+        def counted(K, mats, grid):
+            points.extend(mats)
+            return field_rows(K, mats, grid)
+
+        monkeypatch.setattr(normalize, "_field_rows", counted)
         h = np.array(DESCENT_BODIES[name])
         K, grid = SymmetricPolytope(np.vstack([h, -h])), make_grid(32, 64)
         res = find_normalization(K, grid)
+        assert len(points) <= 1000
         vol = volume(K, grid)
         assert res.fgh_norm < 1e-8 * vol
         assert np.max(np.abs(res.residual23)) < 1e-6 * vol
