@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import planar
 from .body import ConvexBody3, LinearMap3, SymmetricPolytope, _cone6, _rotation, sphere_point
@@ -632,10 +631,6 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
 # zero finder
 
 
-def _clip_box(x) -> np.ndarray:
-    return np.array([min(max(x[0], 0.0), 1.0), min(max(x[1], 0.0), PI), min(max(x[2], 0.0), PI)])
-
-
 def _scan_candidates(field: _BoxField) -> list:
     """The 9^3 scan of the box as one batch: (max |fgh|, point, fgh) for
     each of its distinct points, the origin among them, smallest first."""
@@ -651,50 +646,36 @@ def _refine(field: _BoxField, x0, v0, volK: float) -> np.ndarray:
     """The box point where a search for a zero of the field from x0, where
     it is v0, ends.
 
-    Damped Newton with central differences, whose six points are one batch,
-    ends at its first point below 1e-8 |K|.  Where it fails, the Newton
-    direction has degenerated, as where the zero set is locally a curve; a
-    bounded trust-region step from x0 still descends there, and the search
-    ends where it stops."""
+    Damped least squares: each round takes the central-difference Jacobian
+    J, whose six points are one batch, and then the first step, clipped to
+    the box, that lowers max |v| among the minimisers of
+    |J d + v|^2 + mu s |d|^2 for mu = 0, 1e-4, ..., 10, where s is the mean
+    squared column of J.  mu = 0 is the least-norm Newton step, which also
+    serves where J is singular, as where the zero set is locally a curve.
+    The search ends at its first point below 1e-8 |K|, where no mu descends,
+    or after three steps in a row that do not halve max |v|."""
     target = 1e-8 * volK
     h = 1e-4
-
-    def norm(v):
-        return float(np.max(np.abs(v)))
-
+    steps = [sign * h * e for e in np.eye(3) for sign in (1.0, -1.0)]
     x, v = np.array(x0, dtype=float), v0
-    for _ in range(40):
-        if norm(v) < target:
-            return x
-        steps = [sign * h * e for e in np.eye(3) for sign in (1.0, -1.0)]
+    size, stalls = np.max(np.abs(v0)), 0
+    while size >= target and stalls < 3:
         f = [rec.fgh for rec in field.many([tuple(x + e) for e in steps])]
         J = np.column_stack([(f[2 * j] - f[2 * j + 1]) / (2 * h) for j in range(3)])
-        try:
-            d = np.linalg.solve(J, -v)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        while lam > 1e-3:
-            x1 = _clip_box(x + lam * d)
+        rhs = np.concatenate([-v, np.zeros(3)])
+        scale = np.sum(J * J) / 3.0
+        for mu in (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0):
+            d = np.linalg.lstsq(np.vstack([J, math.sqrt(mu * scale) * np.eye(3)]), rhs, rcond=None)[0]
+            x1 = np.clip(x + d, 0.0, (1.0, PI, PI))
             v1 = field(*x1).fgh
-            if norm(v1) < norm(v):
-                x, v = x1, v1
+            size1 = np.max(np.abs(v1))
+            if size1 < size:
+                stalls = 0 if size1 <= 0.5 * size else stalls + 1
+                x, v, size = x1, v1, size1
                 break
-            lam *= 0.5
         else:
             break
-    else:
-        if norm(v) < target:
-            return x
-    return least_squares(
-        lambda x: field(*x).fgh,
-        np.asarray(x0, dtype=float),
-        bounds=([0.0, 0.0, 0.0], [1.0, PI, PI]),
-        xtol=3e-16,
-        ftol=3e-16,
-        gtol=3e-16,
-        diff_step=1e-6,
-    ).x
+    return x
 
 
 def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
@@ -703,8 +684,8 @@ def find_normalization(K: ConvexBody3, grid: SphereGrid) -> NormalizationResult:
     A coarse 9^3 scan, then _refine from the six best distinct scan points,
     smallest |fgh| first.  The first end below 1e-8 |K| is the result; if
     none is, the smallest end below 1e-6 |K| (the earliest start among
-    equals), and otherwise NoZeroFound.  The scan and each Newton Jacobian
-    are one batch of the field.
+    equals), and otherwise NoZeroFound.  The scan and each Jacobian are one
+    batch of the field.
     """
     volK = volume(K, grid)
     # every box point is evaluated once; the winner's evaluation is the result

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -743,6 +744,58 @@ class TestBatchedField:
             tracemalloc.stop()
 
 
+class _FakeField:
+    """A field f over the box in place of a _BoxField: `many` and `field(*p)`
+    return records whose fgh is f(p), and `points` counts the points read."""
+
+    def __init__(self, f):
+        self.f, self.points = f, 0
+
+    def many(self, points):
+        points = list(points)
+        self.points += len(points)
+        return [SimpleNamespace(fgh=np.array(self.f(*p), dtype=float)) for p in points]
+
+    def __call__(self, *p):
+        return self.many([p])[0]
+
+
+class TestRefine:
+    # |K| = 1, so the search aims at max |v| < 1e-8
+    @staticmethod
+    def _refine(f, x0):
+        field = _FakeField(f)
+        x = normalize._refine(field, x0, np.array(f(*x0), dtype=float), 1.0)
+        return float(np.max(np.abs(f(*x)))), field.points
+
+    def test_regular_zero(self):
+        def f(s, phi, psi):
+            return (s - 0.4 + 0.1 * phi**2, math.sin(phi - 1.0) + 0.2 * s, psi - 2.0 + 0.3 * s * phi)
+
+        end, _ = self._refine(f, (0.9, 2.0, 1.0))
+        assert end < 1e-8
+
+    def test_curve_of_zeros(self):
+        # the zeros are the curve a = b = 0, on which the third row of J is
+        # the first, so J is singular at every zero
+        def f(s, phi, psi):
+            a, b = s - 0.3 - 0.2 * math.sin(psi), phi - 1.0 - 0.5 * psi**2
+            return (a, b, a + a * b)
+
+        end, _ = self._refine(f, (0.9, 2.5, 0.4))
+        assert end < 1e-8
+
+    def test_no_zero_stops(self):
+        # max |v| >= 1e-3 everywhere: the search stalls near the minimum and
+        # stops, here after 58 points
+        def f(s, phi, psi):
+            return (1e-3 + (s - 0.5) ** 2, phi - 1.0, 1e-6 * psi)
+
+        end, points = self._refine(f, (0.9, 2.0, 1.0))
+        assert points <= 100
+        assert end < 2e-3
+
+
 class TestFindNormalization:
     def test_unconditional_quick_exit(self, grid):
         K = LpBall(3.0, (1.0, 0.7, 1.3))
@@ -854,6 +907,16 @@ class TestFindNormalization:
         with pytest.raises(errors.NoZeroFound):
             find_normalization(K, grid)
 
+    def test_smooth_body_15_certifies(self):
+        # the 16th body drawn from default_rng(5), at 32x64: its searches end
+        # on a valley where J is nearly singular, and a least-norm step
+        # still certifies one of them
+        rng = np.random.default_rng(5)
+        for _ in range(16):
+            K = random_smooth_body(rng)
+        grid = make_grid(32, 64)
+        assert find_normalization(K, grid).fgh_norm < 1e-8 * volume(K, grid)
+
     def test_sheared_cube(self, grid):
         K = sheared_cube(np.random.default_rng(86))
         res = find_normalization(K, grid)
@@ -894,7 +957,7 @@ DESCENT_BODIES = {
 class TestDescentBodies:
     @pytest.mark.parametrize("name", sorted(DESCENT_BODIES))
     def test_normalizes_at_or_above_bound(self, name, monkeypatch):
-        # the search stops at its first certified end: 795 and 764 box points
+        # the search stops at its first certified end: 818 and 764 box points
         # on run1 and run6; refining all six starts takes over 1,000 on both
         points = []
         field_rows = normalize._field_rows

@@ -48,3 +48,10 @@ class TestScripts:
         run = _run_script("normalize_demo.py", "--body", str(spec), "--grid", "16x32")
         assert run.returncode == 0, run.stderr
         assert "chain_ok=True" in run.stdout
+
+    def test_search_corpus(self):
+        run = _run_script("search_corpus.py", "--corpus", "mixed", "--grid", "16x32", "--first", "3")
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert [line.split()[0] for line in lines[1:4]] == ["smooth0", "smooth1", "smooth2"]
+        assert lines[-1].startswith("total: 3 bodies, ")
