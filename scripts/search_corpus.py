@@ -30,12 +30,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
+from conftest import perturbed_cube, random_smooth_body, random_symmetric_polytope, sheared_cube
 from mahlerlab import normalize
 from mahlerlab.body import SymmetricPolytope
 from mahlerlab.errors import NoZeroFound
 from mahlerlab.quadrature import make_grid, volume
-from test_acceptance import perturbed_cube
 from test_normalize import DESCENT_BODIES
 
 DEFAULT_GRID = {"acceptance": "96x192", "mixed": "32x64"}

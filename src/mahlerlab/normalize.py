@@ -568,13 +568,14 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
     are the same point, evaluated once.
 
     The base samples are one batch.  Refinement then runs in rounds: each
-    splits every adjacent pair whose angular step is at least pi/2 at its
-    midpoint and evaluates the new points as one batch.  Whether a pair is
-    split depends on its two endpoints alone, so the samples and the total
-    are those of refining each pair depth first.  A (G, H) below 1e-9 |K|
-    raises NotGeneric at the first such point, in contour order, of the
-    earliest batch that has one.  Each of the four legs of the contour
-    needs a base sample, so n_samples below 4 raises BadParameter."""
+    takes every adjacent pair's angular step afresh, splits the pairs whose
+    step is at least pi/2 at their midpoints and evaluates the new points as
+    one batch.  Whether a pair is split depends on its endpoints alone, so
+    the samples and the total are those of refining each pair depth first.
+    A (G, H) below 1e-9 |K| raises NotGeneric at the first such point, in
+    contour order, of the earliest batch that has one.  Each of the four
+    legs of the contour needs a base sample, so n_samples below 4 raises
+    BadParameter."""
     if n_samples < 4:
         raise BadParameter(f"winding needs at least 4 contour samples, got {n_samples}")
     volK = volume(K, grid)
@@ -597,19 +598,10 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
 
     ts = list(np.linspace(0.0, 4 * PI, n_samples + 1))
     vals = gh(ts, "a base sample")
-    # the angular step of each adjacent pair, None until the pair is final
-    steps = [None] * (len(ts) - 1)
     while True:
-        split = []
-        for i, d in enumerate(steps):
-            if d is not None:
-                continue
-            (g0, h0), (g1, h1) = vals[i], vals[i + 1]
-            d = math.atan2(g0 * h1 - h0 * g1, g0 * g1 + h0 * h1)
-            if abs(d) >= 0.5 * PI and ts[i + 1] - ts[i] > 1e-12:
-                split.append(i)
-            else:
-                steps[i] = d
+        steps = [math.atan2(g0 * h1 - h0 * g1, g0 * g1 + h0 * h1)
+                 for (g0, h0), (g1, h1) in zip(vals, vals[1:])]
+        split = [i for i, d in enumerate(steps) if abs(d) >= 0.5 * PI and ts[i + 1] - ts[i] > 1e-12]
         if not split:
             break
         if len(ts) + len(split) > 1 << 20:
@@ -618,13 +610,8 @@ def winding(K: ConvexBody3, n_samples: int, grid: SphereGrid) -> WindingTrace:
         for i, t, v in reversed(list(zip(split, mids, gh(mids, "inserted by refinement")))):
             ts.insert(i + 1, t)
             vals.insert(i + 1, v)
-            steps.insert(i + 1, None)
-    total = 0.0
-    rows = [(ts[0], *vals[0], total)]
-    for t, v, d in zip(ts[1:], vals[1:], steps):
-        total += d
-        rows.append((t, *v, total))
-    return WindingTrace(samples=np.array(rows), winding=int(round(total / (2 * PI))))
+    total = np.cumsum([0.0, *steps])
+    return WindingTrace(samples=np.column_stack([ts, vals, total]), winding=int(round(total[-1] / (2 * PI))))
 
 
 # ---------------------------------------------------------------------------

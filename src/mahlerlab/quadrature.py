@@ -72,56 +72,36 @@ class SphereGrid:
         return ra, np.polynomial.legendre.leggauss(self.n_beta // 4)
 
     @functools.cached_property
-    def _alpha_rule(self) -> tuple:
-        """(alpha, w_alpha), in ascending alpha."""
-        x, w = self._rules[0]
-        cos_nodes = np.concatenate([(x - 1.0) / 2.0, (x + 1.0) / 2.0])
-        w_alpha = np.concatenate([w / 2.0, w / 2.0])
-        alpha = np.arccos(cos_nodes)
-        order = np.argsort(alpha)
-        return alpha[order], w_alpha[order]
-
-    @functools.cached_property
     def alpha(self) -> np.ndarray:
         """(n_alpha,) ascending."""
-        return self._alpha_rule[0]
+        x = self._rules[0][0]
+        return np.sort(np.arccos(np.concatenate([(x - 1.0) / 2.0, (x + 1.0) / 2.0])))
 
     @functools.cached_property
     def w_alpha(self) -> np.ndarray:
-        """The Gauss-Legendre weights in cos(alpha); sum 2."""
-        return self._alpha_rule[1]
-
-    @functools.cached_property
-    def beta(self) -> np.ndarray:
-        """(n_beta,) Gauss-Legendre nodes per quadrant of the circle."""
-        xb = self._rules[1][0]
-        quarter = 0.5 * math.pi
-        return np.concatenate([(xb + 1.0) / 2.0 * quarter + q * quarter for q in range(4)])
-
-    @functools.cached_property
-    def w_beta(self) -> np.ndarray:
-        """The matching weights; sum 2 pi."""
-        return np.tile(self._rules[1][1] * (0.5 * math.pi) / 2.0, 4)
+        """The Gauss-Legendre weights in cos(alpha), in the order of alpha (the
+        rule is symmetric, so reversing its nodes keeps its weights); sum 2."""
+        return np.tile(self._rules[0][1] / 2.0, 2)
 
     @functools.cached_property
     def units(self) -> np.ndarray:
-        """(n_alpha * n_beta, 3) nodes, alpha-major."""
-        return sphere_point(self.alpha[:, None], self.beta[None, :]).reshape(-1, 3)
+        """(n_alpha * n_beta, 3) nodes, alpha-major, at the Gauss-Legendre
+        nodes in beta of each quadrant of the circle."""
+        xb, quarter = self._rules[1][0], 0.5 * math.pi
+        beta = np.concatenate([(xb + 1.0) / 2.0 * quarter + q * quarter for q in range(4)])
+        return sphere_point(self.alpha[:, None], beta[None, :]).reshape(-1, 3)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """Product weights; sum 4 pi."""
-        return (self.w_alpha[:, None] * self.w_beta[None, :]).reshape(-1)
-
-    @functools.cached_property
-    def octant(self) -> np.ndarray:
-        """(N,) octant index 0..7 of each node."""
-        return _octant_index(self.units.T)
+        w_beta = np.tile(self._rules[1][1] * (0.5 * math.pi) / 2.0, 4)
+        return (self.w_alpha[:, None] * w_beta[None, :]).reshape(-1)
 
     @functools.cached_property
     def octant_nodes(self) -> tuple:
-        """Per octant, the ascending indices of its nodes."""
-        return tuple(np.flatnonzero(self.octant == i) for i in range(8))
+        """Per octant 0..7, the ascending indices of its nodes."""
+        octant = _octant_index(self.units.T)
+        return tuple(np.flatnonzero(octant == i) for i in range(8))
 
     @functools.cached_property
     def theta_dirs(self) -> np.ndarray:
@@ -352,10 +332,7 @@ def _table_pieces(Kp: ConvexBody3, rho: np.ndarray, grid: SphereGrid):
         raise ClassificationUnstable(
             f"{near:.2%} of nodes sit on a piece boundary"
         )
-    contrib = grid.weights * rho**3 / 3.0
-    out = np.zeros(8)
-    np.add.at(out, idx, contrib)
-    return out
+    return np.bincount(idx, grid.weights * rho**3 / 3.0, minlength=8)
 
 
 def _chain_measures(K: ConvexBody3, Kp: ConvexBody3, grid: SphereGrid):

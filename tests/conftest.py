@@ -43,6 +43,13 @@ def sheared_cube(rng):
     return cube().transformed(LinearMap3(A))
 
 
+def perturbed_cube(rng, spread=0.15):
+    A = np.eye(3) + spread * rng.standard_normal((3, 3))
+    while abs(np.linalg.det(A)) < 0.4:
+        A = np.eye(3) + spread * rng.standard_normal((3, 3))
+    return cube().transformed(LinearMap3(A))
+
+
 def random_smooth_body(rng, spread=0.25):
     p = rng.uniform(2.5, 4.5)
     axes = rng.uniform(0.7, 1.4, size=3)

@@ -13,24 +13,18 @@ import numpy as np
 import pytest
 
 from conftest import (
+    perturbed_cube,
     random_lp_ball,
     random_smooth_body,
     random_symmetric_polytope,
     sheared_cube,
 )
-from mahlerlab.body import LinearMap3, LpBall, cross_polytope, cube, polar
+from mahlerlab.body import LpBall, cross_polytope, cube, polar
 from mahlerlab.bound2d import normalize2, verify2
 from mahlerlab.bound3d import LOWER_BOUND, verify_chain
 from mahlerlab.normalize import BoxPoint, find_normalization, symmetry_residuals, winding
 from mahlerlab.quadrature import make_grid, volume, volume_product
 from oracles import cone_inequality_check, detect_equality, equality_family, test_points as chain_points
-
-
-def perturbed_cube(rng, spread=0.15):
-    A = np.eye(3) + spread * rng.standard_normal((3, 3))
-    while abs(np.linalg.det(A)) < 0.4:
-        A = np.eye(3) + spread * rng.standard_normal((3, 3))
-    return cube().transformed(LinearMap3(A))
 
 
 @pytest.fixture(scope="module")

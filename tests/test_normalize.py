@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_smooth_body, random_symmetric_polytope, sheared_cube
+from conftest import perturbed_cube, random_smooth_body, random_symmetric_polytope, sheared_cube
 from mahlerlab import bound2d, errors, normalize, planar, quadrature
 from mahlerlab.bound2d import normalize2
 from mahlerlab.body import (
@@ -40,10 +40,6 @@ from oracles import balance_residuals, wedge_volume
 from test_bound2d import random_polygon, regular_gon, square2
 
 PI = math.pi
-
-
-def perturbed_cube(rng, spread=0.15):
-    return cube().transformed(LinearMap3(np.eye(3) + spread * rng.standard_normal((3, 3))))
 
 
 class TestBalanceAngles:

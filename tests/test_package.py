@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +56,30 @@ class TestScripts:
         lines = run.stdout.splitlines()
         assert [line.split()[0] for line in lines[1:4]] == ["smooth0", "smooth1", "smooth2"]
         assert lines[-1].startswith("total: 3 bodies, ")
+
+    def test_compare_trees(self, tmp_path):
+        def differing(before, after):
+            """{field line: differing items} of `compare`, and its last line."""
+            run = _run_script("compare_trees.py", "compare", str(before), str(after))
+            assert run.returncode == 0, run.stderr
+            lines = run.stdout.splitlines()
+            rows = {}
+            for line in lines[1:-1]:
+                m = re.fullmatch(r"(.*\S)\s+(\d+)/(\d+)\s+\S+\s+\S+", line)
+                rows[m[1]] = int(m[2])
+            return rows, lines[-1]
+
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run = _run_script("compare_trees.py", "dump", str(ROOT), str(a))
+        assert run.returncode == 0, run.stderr
+        rows, last = differing(a, a)
+        assert rows and not any(rows.values())
+        assert last == "exit codes, text and shapes: all equal"
+
+        items = json.loads(a.read_text())
+        key = next(k for k in items if k.startswith("fn/fgh/"))
+        items[key]["fgh"][1] += 1.0
+        b.write_text(json.dumps(items))
+        rows, last = differing(a, b)
+        assert {field: n for field, n in rows.items() if n} == {"fn/fgh fgh": 1}
+        assert last == "exit codes, text and shapes: all equal"

@@ -60,16 +60,16 @@ class TestMakeGrid:
     @pytest.mark.parametrize("na,nb", [(8, 16), (96, 192), (128, 256)])
     def test_octant_labels(self, na, nb):
         g = make_grid(na, nb)
-        for i, s in enumerate(OCTANT_SIGNS):
-            m = g.octant == i
-            assert np.all(g.units[m] * np.array(s) > 0)
+        for nodes, s in zip(g.octant_nodes, OCTANT_SIGNS):
+            assert np.all(g.units[nodes] * np.array(s) > 0)
 
 
     @pytest.mark.parametrize("na,nb", [(8, 16), (96, 192)])
     def test_per_grid_tables(self, na, nb):
         g = make_grid(na, nb)
-        for i in range(8):
-            assert np.array_equal(g.octant_nodes[i], np.flatnonzero(g.octant == i))
+        # the eight ascending lists partition the nodes
+        assert len(g.octant_nodes) == 8 and all(np.all(np.diff(n) > 0) for n in g.octant_nodes)
+        assert np.array_equal(np.sort(np.concatenate(g.octant_nodes)), np.arange(na * nb))
         betas = np.arange(nb) * (math.pi / nb)
         assert np.array_equal(g.theta_dirs, sphere_point(g.alpha[:, None], betas[None, :]))
 
