@@ -5,7 +5,8 @@ Usage:
     python scripts/compare_trees.py dump TREE OUT.json
     python scripts/compare_trees.py compare BEFORE.json AFTER.json
 
-`dump` imports mahlerlab from TREE/src, so two checkouts (say a parent
+`dump` imports mahlerlab from TREE/src and the benchmark's workloads from
+TREE/mahlerbench, so two checkouts (say a parent
 commit exported with `git archive` and the working tree) are compared from
 one place, each dumped in its own process.  Set OPENBLAS_NUM_THREADS=1 for
 both.  It records, on ten polytopes (the cube, the cross-polytope, a cube
@@ -30,7 +31,11 @@ ellipsoid and on twelve symmetric polygons (drawn from default_rng(1001) as
   octant volumes, the polar piece volumes, the balance angles, the quarter
   areas, the curve vectors, and the volumes, pieces, section areas, shadow
   areas and planar products of `verify_chain` (or the name of the error
-  each raises); for each polytope so turned, also the rotated vertices.
+  each raises); for each polytope so turned, also the rotated vertices;
+- bench: the outcome and the report (parsed JSON where it parses, else
+  text) of every op of the benchmark's three workloads, imported from
+  TREE/mahlerbench and run once each through `workloads.execute` at
+  `workloads.SEED` and `workloads.HELDOUT_SEED`, without the times.
 
 `compare` prints one line per command and field: how many items differ, the
 largest absolute difference, and the largest difference relative to the
@@ -164,8 +169,17 @@ def _stdout(text):
     return out
 
 
+def _bench_report(data):
+    """An op report: parsed JSON where it parses, else its text."""
+    try:
+        return json.loads(data)
+    except ValueError:
+        return data.decode()
+
+
 def dump(tree, out_path):
-    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    sys.path[:0] = [os.path.join(os.path.abspath(tree), "src"), os.path.abspath(tree)]
+    from mahlerbench import workloads
     from mahlerlab import body, bound3d, cli, errors, normalize, quadrature
 
     grid = quadrature.make_grid(32, 64)
@@ -224,6 +238,12 @@ def dump(tree, out_path):
             except errors.MahlerLabError as e:
                 chain = {"error": type(e).__name__}
             items[f"fn/verify_chain/{key}"] = chain
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in (workloads.SEED, workloads.HELDOUT_SEED):
+            for name, spec in workloads.WORKLOADS.items():
+                for op in spec["prepare"](seed, os.path.join(tmp, f"{name}-{seed}")):
+                    outcome, report = workloads.execute(op)[2:]
+                    items[f"bench/{seed}/{name}/{op.name}"] = {"outcome": outcome, "report": _bench_report(report)}
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(items, fh)
     print(f"{len(items)} items written to {out_path}")

@@ -85,12 +85,6 @@ def _rotation(axis: int, t: float) -> np.ndarray:
     return m
 
 
-def _as_map(A) -> LinearMap3:
-    if isinstance(A, LinearMap3):
-        return A
-    return LinearMap3(A)
-
-
 class ConvexBody3:
     """Base class; subclasses implement the vectorized evaluators."""
 
@@ -227,7 +221,6 @@ class SymmetricPolytope(ConvexBody3):
         )
 
     def transformed(self, A):
-        A = _as_map(A)
         # a map with det < 0 reverses orientation; reversing each triangle keeps it outward
         tris = self.triangles if A.det > 0 else self.triangles[:, ::-1]
         return object.__new__(SymmetricPolytope)._set_parts(
@@ -275,7 +268,7 @@ class LpBall(ConvexBody3):
         if not (p > 1.0 and math.isfinite(p)):
             raise BadParameter("lp exponent must lie in (1, inf)")
         axes = np.array(axes, dtype=float)
-        if axes.shape != (3,) or np.any(axes <= 0):
+        if axes.shape != (3,) or not np.all(np.isfinite(axes) & (axes > 0)):
             raise DegenerateBody("semi-axes must be three positive numbers")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "axes", axes)
@@ -330,6 +323,8 @@ class Ellipsoid(ConvexBody3):
         M = np.array(M, dtype=float)
         if M.shape != (3, 3):
             raise BadParameter("ellipsoid matrix must be 3x3")
+        if not np.all(np.isfinite(M)):
+            raise DegenerateBody("ellipsoid matrix entries must be finite")
         M = 0.5 * (M + M.T)
         if np.min(np.linalg.eigvalsh(M)) <= 1e-12:
             raise DegenerateBody("ellipsoid matrix is not positive definite")
@@ -353,7 +348,6 @@ class Ellipsoid(ConvexBody3):
         return Ellipsoid(self.Minv)
 
     def transformed(self, A):
-        A = _as_map(A)
         return Ellipsoid(A.inverse.T @ self.M @ A.inverse)
 
 
@@ -487,6 +481,8 @@ class RadialField(ConvexBody3):
         vals = np.array(values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] < 9 or vals.shape[1] < 8:
             raise DegenerateBody("radial table too small")
+        if not np.all(np.isfinite(vals)):
+            raise DegenerateBody("radial values must be finite")
         na, nb = vals.shape[0] - 1, vals.shape[1]
         if nb % 2:
             raise BadParameter("radial table needs an even beta count")
@@ -594,7 +590,6 @@ class TransformedBody(ConvexBody3):
     __slots__ = ("base", "map")
 
     def __init__(self, base, A):
-        A = _as_map(A)
         if isinstance(base, TransformedBody):  # flatten chains
             A = A.compose(base.map)
             base = base.base

@@ -13,10 +13,10 @@ from .body import ConvexBody3, SymmetricPolytope, polar
 from .errors import MembershipViolated
 from .normalize import _r23
 from .quadrature import (
+    _PLANE_FRAMES,
     SphereGrid,
     _chain_measures,
     _section_segments,
-    _section_vertices,
     projection_areas,
     quarter_areas,
     section_areas,
@@ -46,22 +46,26 @@ def _segment_samples(K: ConvexBody3, P: np.ndarray, Q: np.ndarray, n: int):
     return pts / K.gauge_many(pts)[:, None]
 
 
-def _dual_polyline_polytope(K: SymmetricPolytope, P, Q) -> np.ndarray:
-    """Contact vertices on the polar along the boundary arc from P to Q.
+def _plane_polylines(K: SymmetricPolytope, plane: int, U, V) -> list:
+    """Contact vertices on the polar along the two quarter arcs of the
+    section of K by the coordinate plane `plane`: from U, on its frame's u
+    axis, to V, on its v axis, and from V to -U.
 
-    The arc is the section of K in the plane of P and Q between the two, an
-    angle below pi.  Lambda is constant on each arc edge, so evaluating it at
-    P, at each edge midpoint and at Q gives every vertex of the polar curve
-    in order (consecutive repeats add nothing to the cross sum)."""
-    e1 = P / np.linalg.norm(P)
-    e2 = Q - (Q @ e1) * e1
-    e2 = e2 / np.linalg.norm(e2)
-    F = np.array([e1, e2, np.cross(e1, e2)])
-    poly = _section_vertices(_section_segments(K, F))
-    ang = np.arctan2(poly[:, 1], poly[:, 0])
-    inner = (ang > 0.0) & (ang < math.atan2(Q @ e2, Q @ e1))
-    arc = np.vstack([P, poly[inner] @ F[:2], Q])
-    return K.lambda_many(np.vstack([P, 0.5 * (arc[:-1] + arc[1:]), Q]))
+    A section vertex lies on an arc when its angle from the arc's start is
+    strictly inside (0, pi/2): arctan2(v, u) for the first arc, and
+    arctan2(-u, v), the frame turned a quarter, for the second.  Lambda is
+    constant on each arc edge, so evaluating it at the start, at each edge
+    midpoint and at the end gives every vertex of the polar curve in order
+    (consecutive repeats add nothing to the cross sum)."""
+    F = _PLANE_FRAMES[plane]
+    seg = _section_segments(K, plane)
+    p = seg[np.any(seg[:, 0] != seg[:, 1], axis=1), 0]
+    out = []
+    for P, Q, ang in ((U, V, np.arctan2(p[:, 1], p[:, 0])), (V, -U, np.arctan2(-p[:, 0], p[:, 1]))):
+        inner = np.flatnonzero((ang > 0.0) & (ang < 0.5 * math.pi))
+        arc = np.vstack([P, p[inner[np.argsort(ang[inner])]] @ F[:2], Q])
+        out.append(K.lambda_many(np.vstack([P, 0.5 * (arc[:-1] + arc[1:]), Q])))
+    return out
 
 
 def _cross_sum(poly: np.ndarray) -> np.ndarray:
@@ -71,8 +75,6 @@ def _cross_sum(poly: np.ndarray) -> np.ndarray:
 
 
 def _dual_curve_vector(K: ConvexBody3, P, Q) -> np.ndarray:
-    if isinstance(K, SymmetricPolytope):
-        return _cross_sum(_dual_polyline_polytope(K, P, Q))
     # chord sums are O(h^2); one Richardson step removes the leading bias
     ys = K.lambda_many(_segment_samples(K, P, Q, _N_CURVE))
     full = _cross_sum(ys)
@@ -116,15 +118,13 @@ def _curve_vectors(K: ConvexBody3, qa: np.ndarray) -> CurveVectors:
     A, B, C = _axis_points(K)
     # d, e in the x=0 plane, f, g in y=0, h, i in z=0
     body = {k: 2.0 * qa[n] * np.eye(3)[n // 2] for n, k in enumerate("defghi")}
-    segs = {
-        "d": (B, C),
-        "e": (C, -B),
-        "f": (C, A),
-        "g": (A, -C),
-        "h": (A, B),
-        "i": (B, -A),
-    }
-    dual = {k + "_p": _dual_curve_vector(K, P, Q) for k, (P, Q) in segs.items()}
+    dual = {}
+    for keys, (plane, U, V) in zip(("de", "fg", "hi"), ((1, B, C), (2, C, A), (3, A, B))):
+        if isinstance(K, SymmetricPolytope):
+            vecs = [_cross_sum(ys) for ys in _plane_polylines(K, plane, U, V)]
+        else:
+            vecs = [_dual_curve_vector(K, U, V), _dual_curve_vector(K, V, -U)]
+        dual.update({k + "_p": v for k, v in zip(keys, vecs)})
     return CurveVectors(**body, **dual)
 
 

@@ -351,39 +351,24 @@ def _chain_measures(K: ConvexBody3, Kp: ConvexBody3, grid: SphereGrid):
 # ---------------------------------------------------------------------------
 # planar measures
 
-# coordinate frames of the three central planes: plane i kills axis i-1 and
-# uses the cyclic pair as (first, second) in-plane coordinates.
-_PLANE_COORDS = {1: (1, 2), 2: (2, 0), 3: (0, 1)}
+# the right-handed frame (u, v, n) of each central plane as the rows of a
+# matrix: the in-plane axes, then the normal e_i of plane i
+_PLANE_FRAMES = {1: np.eye(3)[[1, 2, 0]], 2: np.eye(3)[[2, 0, 1]], 3: np.eye(3)}
 
 
 def circle_dirs(plane: int, t):
-    """Unit directions in central plane `plane` at in-plane angle t."""
-    t = np.asarray(t, dtype=float)
-    j, k = _PLANE_COORDS[plane]
-    out = np.zeros(t.shape + (3,))
-    out[..., j] = np.cos(t)
-    out[..., k] = np.sin(t)
-    return out
+    """Unit directions cos t u + sin t v in central plane `plane`."""
+    t = np.asarray(t, dtype=float)[..., None]
+    u, v = _PLANE_FRAMES[plane][:2]
+    return np.cos(t) * u + np.sin(t) * v
 
 
-# the right-handed frame (u, v, n) of each central plane as the rows of a
-# matrix: the in-plane axes, then the normal
-_PLANE_FRAMES = {p: np.eye(3)[[j, k, p - 1]] for p, (j, k) in _PLANE_COORDS.items()}
-
-
-def _section_segments(K: SymmetricPolytope, F: np.ndarray) -> np.ndarray:
+def _section_segments(K: SymmetricPolytope, plane: int) -> np.ndarray:
     """The (T, 2, 2) cut segments of the central section of K by the plane
-    of the right-handed orthonormal frame F (rows u, v, n), in the in-plane
-    coordinates (u.x, v.x) and counterclockwise there.  An uncrossed
-    triangle gives the zero segment."""
+    `plane`, in its in-plane coordinates (u.x, v.x) and counterclockwise
+    there.  An uncrossed triangle gives the zero segment."""
+    F = _PLANE_FRAMES[plane]
     return _cut(K.vertices[K.triangles], F[2])[1] @ F[:2].T
-
-
-def _section_vertices(seg: np.ndarray) -> np.ndarray:
-    """The start points of the non-degenerate (u, v) segments, sorted by
-    angle: the section polygon, counterclockwise."""
-    p = seg[np.any(seg[:, 0] != seg[:, 1], axis=1), 0]
-    return p[np.argsort(np.arctan2(p[:, 1], p[:, 0]))]
 
 
 _N_CIRCLE = 2048
@@ -409,7 +394,7 @@ def section_areas(K: ConvexBody3) -> np.ndarray:
     """|K ∩ e_i^⊥| for i = 1, 2, 3: fan sums over the cut segments for
     polytopes, (1/2) of the integral of rho^2 around the circle otherwise."""
     if isinstance(K, SymmetricPolytope):
-        return np.array([_fan_area(_section_segments(K, _PLANE_FRAMES[p])) for p in (1, 2, 3)])
+        return np.array([_fan_area(_section_segments(K, p)) for p in (1, 2, 3)])
     return np.array([_section_area_quad(K, p) for p in (1, 2, 3)])
 
 
@@ -440,7 +425,7 @@ def _plane_quarters(K: ConvexBody3, plane: int) -> np.ndarray:
     frame.  (|O*d|, |O*e|) for plane 1 (x = 0), (|O*f|, |O*g|) for plane 2
     and (|O*h|, |O*i|) for plane 3."""
     if isinstance(K, SymmetricPolytope):
-        upper = _clip_segments(_section_segments(K, _PLANE_FRAMES[plane]), (0.0, 1.0))
+        upper = _clip_segments(_section_segments(K, plane), (0.0, 1.0))
         return np.array([_fan_area(_clip_segments(upper, m)) for m in ((1.0, 0.0), (-1.0, 0.0))])
     half = 0.5 * math.pi
     return np.array([_arc_area(K, plane, 0.0, half), _arc_area(K, plane, half, math.pi)])

@@ -36,7 +36,10 @@ its maxima, is checked bit for bit against the full product in row blocks.
 The last section holds references and lemma checks that no command runs,
 kept here so that their tests read them by the same names: a polytope's
 wedge volume (`wedge_volume`) and coordinate section polygon
-(`section_polygon`) from the cut triangles, a 200-point Gauss-Legendre check
+(`section_polygon`) from the cut triangles, the contact polyline of a
+polytope arc between any two boundary points in the arc's own frame
+(`dual_polyline_polytope`, against which the library's per-plane quarter
+arcs are checked bit for bit), a 200-point Gauss-Legendre check
 of the balance equations (`balance_residuals`), the chain's test points from
 a body's own measures (`test_points`), the cone-volume comparison on random
 boundary triangles (`cone_inequality_check`, with `cone_volume` and
@@ -622,9 +625,38 @@ def section_polygon(K, plane):
     Its vertices are where the plane cuts the boundary triangles, so a
     collinear vertex appears where the plane crosses a diagonal that the
     triangulation draws inside a facet."""
-    from mahlerlab.quadrature import _PLANE_FRAMES, _section_segments, _section_vertices
+    from mahlerlab.quadrature import _section_segments
 
-    return _section_vertices(_section_segments(K, _PLANE_FRAMES[plane]))
+    return _segment_polygon(_section_segments(K, plane))
+
+
+def _segment_polygon(seg):
+    """The start points of the non-degenerate (u, v) segments of a section,
+    sorted by angle: the section polygon, counterclockwise."""
+    p = seg[np.any(seg[:, 0] != seg[:, 1], axis=1), 0]
+    return p[np.argsort(np.arctan2(p[:, 1], p[:, 0]))]
+
+
+def dual_polyline_polytope(K, P, Q):
+    """Contact vertices on the polar along the boundary arc of a polytope from
+    P to Q, the arc an angle below pi, in a frame of its own: u along P, v
+    toward Q in the plane of the two.  The library cuts each coordinate
+    section once and reads both of its quarter arcs off the plane's fixed
+    frame; this is the per-arc cut it replaced, for any two boundary points.
+
+    Lambda is constant on each arc edge, so evaluating it at P, at each edge
+    midpoint and at Q gives every vertex of the polar curve in order."""
+    from mahlerlab.quadrature import _cut
+
+    e1 = P / np.linalg.norm(P)
+    e2 = Q - (Q @ e1) * e1
+    e2 = e2 / np.linalg.norm(e2)
+    F = np.array([e1, e2, np.cross(e1, e2)])
+    poly = _segment_polygon(_cut(K.vertices[K.triangles], F[2])[1] @ F[:2].T)
+    ang = np.arctan2(poly[:, 1], poly[:, 0])
+    inner = (ang > 0.0) & (ang < math.atan2(Q @ e2, Q @ e1))
+    arc = np.vstack([P, poly[inner] @ F[:2], Q])
+    return K.lambda_many(np.vstack([P, 0.5 * (arc[:-1] + arc[1:]), Q]))
 
 
 def balance_residuals(K, ang):

@@ -100,6 +100,21 @@ class TestConstruction:
         with pytest.raises(errors.DegenerateBody):
             SymmetricPolytope(verts)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: LpBall(3.0, (math.nan, 1.0, 1.0)), id="lp-nan"),
+            pytest.param(lambda: LpBall(3.0, (math.inf, 1.0, 1.0)), id="lp-inf"),
+            pytest.param(lambda: Ellipsoid(np.diag([math.nan, 1.0, 1.0])), id="ellipsoid-nan"),
+            pytest.param(lambda: Ellipsoid(np.diag([math.inf, 1.0, 1.0])), id="ellipsoid-inf"),
+            pytest.param(lambda: RadialField(np.full((9, 8), math.nan)), id="radial-nan"),
+            pytest.param(lambda: RadialField(np.full((9, 8), math.inf)), id="radial-inf"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(errors.DegenerateBody):
+            make()
+
     def test_bad_exponent_rejected(self):
         with pytest.raises(errors.BadParameter):
             LpBall(1.0)

@@ -62,13 +62,14 @@ class TestCurveVectors:
 
     def test_reversal_flips_sign(self):
         rng = np.random.default_rng(100)
-        for K in (random_smooth_body(rng), random_symmetric_polytope(rng, pairs=8)):
+        bodies = (random_smooth_body(rng), random_symmetric_polytope(rng, pairs=8))
+        for K, curve in zip(bodies, (_dual_curve_vector, _arc_vector)):
             P = rng.standard_normal(3)
             Q = rng.standard_normal(3)
             P /= K.gauge(P)
             Q /= K.gauge(Q)
-            fwd = _dual_curve_vector(K, P, Q)
-            rev = _dual_curve_vector(K, Q, P)
+            fwd = curve(K, P, Q)
+            rev = curve(K, Q, P)
             assert np.allclose(fwd, -rev, atol=1e-8 * max(np.abs(fwd).max(), 1.0))
 
     def test_projection_consistency(self):
@@ -82,9 +83,23 @@ class TestCurveVectors:
             assert cv.h_p[2] + cv.i_p[2] == pytest.approx(P[2], rel=1e-6)
 
 
+def _arc_vector(K, P, Q):
+    """The reference polar-side curve vector of a polytope arc from P to Q."""
+    return bound3d._cross_sum(oracles.dual_polyline_polytope(K, P, Q))
+
+
+def _plane_arcs(K):
+    """(plane, (P, Q), polyline) of the six quarter arcs of a polytope, two
+    per coordinate section, as curve_vectors reads them."""
+    A, B, C = bound3d._axis_points(K)
+    for plane, U, V in ((1, B, C), (2, C, A), (3, A, B)):
+        yield from zip((plane, plane), ((U, V), (V, -U)), bound3d._plane_polylines(K, plane, U, V))
+
+
 class TestPolytopeCurveVectors:
     """The polar curve of a polytope arc, read off the section polygon,
-    against the sampled polyline of the oracle."""
+    against the sampled polyline of the oracle and against the per-arc
+    frame of the reference."""
 
     def _corpus(self):
         rng = np.random.default_rng(120)
@@ -97,11 +112,33 @@ class TestPolytopeCurveVectors:
     def test_axis_arcs_match_sampled_polyline(self):
         for j, K in enumerate(self._corpus()):
             scale = max(float(np.abs(K.vertices).max()), 1.0)
-            A, B, C = bound3d._axis_points(K)
-            for P, Q in ((B, C), (C, -B), (C, A), (A, -C), (A, B), (B, -A)):
-                got = _dual_curve_vector(K, P, Q)
+            for plane, (P, Q), ys in _plane_arcs(K):
+                got = bound3d._cross_sum(ys)
                 want = oracles.sampled_dual_curve_vector(K, P, Q)
-                assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"body {j}"
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"body {j} plane {plane}"
+
+    def test_plane_arcs_match_per_arc_frame(self):
+        turns = (0.0, 0.5 * math.pi, math.pi)
+        bodies = self._corpus() + [
+            rotate(K, a, b, c) for K in (cube(), cross_polytope()) for a in turns for b in turns for c in turns
+        ]
+        for j, K in enumerate(bodies):
+            for plane, (P, Q), ys in _plane_arcs(K):
+                assert np.array_equal(ys, oracles.dual_polyline_polytope(K, P, Q)), f"body {j} plane {plane}"
+
+    def test_one_cut_per_coordinate_plane(self, monkeypatch):
+        K = random_symmetric_polytope(np.random.default_rng(123), pairs=9)
+        qa = quadrature.quarter_areas(K)
+        normals = []
+        cut = quadrature._cut
+
+        def counted(tris, n):
+            normals.append(np.asarray(n).tolist())
+            return cut(tris, n)
+
+        monkeypatch.setattr(quadrature, "_cut", counted)
+        bound3d._curve_vectors(K, qa)
+        assert sorted(normals) == sorted(np.eye(3).tolist())
 
     def test_random_arcs_match_sampled_polyline(self):
         rng = np.random.default_rng(121)
@@ -112,10 +149,10 @@ class TestPolytopeCurveVectors:
             P, Q = rng.standard_normal((2, 3))
             P /= K.gauge(P)
             Q /= K.gauge(Q)
-            got = _dual_curve_vector(K, P, Q)
+            got = _arc_vector(K, P, Q)
             want = oracles.sampled_dual_curve_vector(K, P, Q)
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, f"arc {j}"
-            assert np.max(np.abs(got + _dual_curve_vector(K, Q, P))) <= 1e-12 * scale
+            assert np.max(np.abs(got + _arc_vector(K, Q, P))) <= 1e-12 * scale
 
     def test_one_contact_map_call_per_curve(self, monkeypatch):
         calls = []

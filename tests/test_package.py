@@ -77,6 +77,9 @@ class TestScripts:
         assert last == "exit codes, text and shapes: all equal"
 
         items = json.loads(a.read_text())
+        bench = {k: v for k, v in items.items() if k.startswith("bench/")}
+        assert {k.split("/")[2] for k in bench} == {"certify_smooth", "exact_polytope", "cli_screen"}
+        assert {v["outcome"] for v in bench.values()} <= {"pass", "refused"}
         key = next(k for k in items if k.startswith("fn/fgh/"))
         items[key]["fgh"][1] += 1.0
         b.write_text(json.dumps(items))
